@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -178,19 +177,14 @@ def cmd_verify_theorem(args) -> int:
     if any(not 1 <= k <= args.depth for k in indices):
         raise ValueError(f"grid indices must lie in 1..{args.depth}")
     multipliers = _float_list(args.multipliers)
-    cases = [(k, m * args.alpha) for k in indices for m in multipliers]
-
-    def run(case):
-        k, lam = case
-        return _theorem_case(
-            directions, op, k, lam, args.alpha, args.tol_residual, args.gammas
+    rows = [
+        _theorem_case(
+            directions, op, k, m * args.alpha, args.alpha, args.tol_residual,
+            args.gammas,
         )
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run, cases))
-    else:
-        rows = [run(case) for case in cases]
+        for k in indices
+        for m in multipliers
+    ]
 
     header = [
         "k",
@@ -411,6 +405,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--config", default=None, help="JSON config file; flags win")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.set_defaults(parser=parser)
 
 
 def _add_enum_bounds(parser: argparse.ArgumentParser) -> None:
@@ -438,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gammas", type=int, default=5)
     p.add_argument("--tol-match", dest="tol_match", type=float, default=1e-8)
     p.add_argument("--tol-residual", dest="tol_residual", type=float, default=1e-12)
-    p.add_argument("--jobs", type=int, default=1)
     _add_enum_bounds(p)
     _add_common(p)
     p.set_defaults(func=cmd_verify_theorem)
@@ -493,18 +487,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    if not getattr(args, "config", None):
-        return
-    with open(args.config, "r", encoding="utf-8") as handle:
+def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
+    """Option defaults from a JSON config file, checked against ``parser``.
+
+    Keys are option destinations (``tol_match`` for ``--tol-match``), and a
+    value must have its option's JSON type: true or false for a switch, an
+    integer or a number for a numeric option, a string otherwise.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
         config = json.load(handle)
+    if not isinstance(config, dict):
+        raise ValueError("config file must hold a JSON object")
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     for key, value in config.items():
-        option = "--" + key.replace("_", "-")
-        if option in argv or key == "config":
-            continue
-        if not hasattr(args, key):
+        action = actions.get(key)
+        if action is None:
             raise ValueError(f"unknown config key {key!r}")
-        setattr(args, key, value)
+        kind = {int: int, float: (int, float)}.get(action.type, str)
+        kind = bool if action.nargs == 0 else kind
+        wrong = isinstance(value, bool) != (kind is bool) or not isinstance(value, kind)
+        if wrong or (action.choices is not None and value not in action.choices):
+            raise ValueError(f"config value {value!r} does not fit option {key!r}")
+        config[key] = action.type(value) if action.type else value
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -512,7 +517,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args, argv)
+        if args.config:
+            # explicit flags, in either --flag value or --flag=value form, win
+            # over defaults, so the file's values enter as defaults
+            args.parser.set_defaults(**_config_defaults(args.parser, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -3,10 +3,17 @@
 The functional is 0.5*||Ax - y||_2^2 + alpha*||x||_1 over the truncated
 domain.  Minimizers are certified through the subdifferential condition: x is
 optimal exactly when g = -(1/alpha) * A^T (Ax - y) equals sign(x_k) on the
-support and lies in [-1, 1] off it.  The solver is cyclic coordinate descent
-(deterministic order 1..n, start at zero, exact soft-threshold updates) with
-an exact refinement solve on the signed support; every certificate reports
+support and lies in [-1, 1] off it.  Since p = y - Ax then satisfies
+|a_j . p| <= alpha for every column, the condition is feasibility for the
+dual problem, the projection of y onto that polytope.  The solver is the
+dual active-set method of Goldfarb and Idnani (Math. Programming 27, 1983):
+it walks from p = y to the projection, adding violated constraints, and
+reads x off the multipliers of the active ones.  Every certificate reports
 the verified residual, never the solver's own bookkeeping.
+
+The fitted value Ax and the norm ||x||_1 are the same for every minimizer,
+but x need not be unique (Tibshirani, Electron. J. Stat. 7, 2013); the
+solver returns one whose support has at most n_rows indices.
 
 Data y of the form lambda * zeta^(k) admits closed-form minimizers: a
 soft-thresholded spike at k and, when the direction sequence also contains
@@ -75,10 +82,10 @@ class TikhonovProblem:
 class MinimizerCertificate:
     """Solver output: solution, objective, verified optimality residual.
 
-    ``support`` lists 1-based indices whose magnitude exceeds 1e-12.  A
-    certificate with ``converged = False`` means the sweep budget ran out
-    before the residual dropped below tolerance; the values are still the
-    best iterate found.
+    ``support`` lists 1-based indices whose magnitude exceeds 1e-12.
+    ``iterations`` counts active-set steps.  A certificate with ``converged =
+    False`` means the residual stayed above tolerance because the step budget
+    ran out or only rounding was left; the values are still the last iterate.
     """
 
     x: np.ndarray
@@ -135,95 +142,54 @@ def optimality_residual(problem: TikhonovProblem, x: np.ndarray) -> float:
     return _kkt_residual(corr, x, problem.alpha)
 
 
-def _objective_raw(a: np.ndarray, y: np.ndarray, alpha: float, x: np.ndarray) -> float:
-    misfit = a @ x - y
-    return 0.5 * float(misfit @ misfit) + alpha * float(np.abs(x).sum())
+def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve r z = b for an upper-triangular r."""
+    z = np.empty(len(b))
+    for i in range(len(b) - 1, -1, -1):
+        z[i] = (b[i] - r[i, i + 1 :] @ z[i + 1 :]) / r[i, i]
+    return z
 
 
-def _polish_support(
-    a: np.ndarray,
-    y: np.ndarray,
-    alpha: float,
-    x: np.ndarray,
-    max_support: int = 400,
-    grow: int = 10,
-) -> None:
-    """Exact descent on a signed candidate support (feature-sign step).
+def _forward_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve r^T z = b for an upper-triangular r."""
+    return _back_substitute(r.T[::-1, ::-1], b[::-1])[::-1]
 
-    The candidate set is the current support plus up to ``grow`` of the worst
-    off-support violators; entering coordinates take the sign of their
-    correlation.  With the sign pattern s fixed, the restricted minimizer
-    solves (A_S^T A_S) z = A_S^T y - alpha * s.  If z keeps every sign it is
-    adopted outright; otherwise x moves toward z only up to the first sign
-    crossing, the crossing coordinates leave the set, and the solve repeats.
-    Each step stays inside the sign orthant and decreases the objective, so
-    this shortcuts the slow mass exchange between nearly parallel columns
-    without overshooting; coordinate descent remains the driver and the
-    optimality residual remains the only termination authority.
-    """
-    residual = y - a @ x
-    corr = a.T @ residual
-    support = np.nonzero(x)[0]
-    signs = np.sign(x[support])
-    if grow > 0:
-        zero_mask = x == 0.0
-        excess = np.abs(corr) - alpha
-        excess[~zero_mask] = -np.inf
-        order = np.argsort(excess)[::-1][:grow]
-        entering = order[excess[order] > 0.0]
-        if len(entering):
-            support = np.concatenate([support, entering])
-            signs = np.concatenate([signs, np.sign(corr[entering])])
-            sorter = np.argsort(support)
-            support = support[sorter]
-            signs = signs[sorter]
-    if len(support) == 0 or len(support) > max_support:
-        return
-    before = _objective_raw(a, y, alpha, x)
-    snapshot = x.copy()
-    for _ in range(len(support) + 5):
-        if len(support) == 0:
-            break
-        asub = a[:, support]
-        rhs = asub.T @ y - alpha * signs
-        gram = asub.T @ asub
-        z, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-        flipped = z * signs < 0.0
-        if not flipped.any():
-            x[support] = z
-            break
-        xs = x[support]
-        flipped_idx = np.nonzero(flipped)[0]
-        crossings = xs[flipped_idx] / (xs[flipped_idx] - z[flipped_idx])
-        t = float(np.min(crossings))
-        xs = xs + t * (z - xs)
-        xs[flipped_idx[crossings <= t + 1e-18]] = 0.0
-        x[support] = xs
-        keep = xs != 0.0
-        support = support[keep]
-        signs = signs[keep]
-    # numerical safety net, not expected to trigger
-    if _objective_raw(a, y, alpha, x) > before + 1e-12 * max(1.0, abs(before)):
-        x[:] = snapshot
+
+def _drop_column(q: np.ndarray, r: np.ndarray, i: int):
+    """QR factors of N with column i removed, given N = q r (Givens rotations)."""
+    r = np.delete(r, i, axis=1)
+    for j in range(i, r.shape[1]):
+        h = math.hypot(r[j, j], r[j + 1, j])
+        g = np.array([[r[j, j], r[j + 1, j]], [-r[j + 1, j], r[j, j]]]) / h
+        r[j : j + 2, j:] = g @ r[j : j + 2, j:]
+        q[:, j : j + 2] = q[:, j : j + 2] @ g.T
+    return q[:, :-1], r[:-1]
 
 
 def solve(
     problem: TikhonovProblem,
     tol: float = 1e-10,
     max_iter: int = 10000,
-    warm_start: bool = True,
 ) -> MinimizerCertificate:
-    """Minimize the functional by cyclic coordinate descent.
+    """Minimize the functional by the dual active-set method of Goldfarb and Idnani.
 
-    Each sweep visits coordinates in ascending order, restricted to those
-    that are active or violate the threshold test at the sweep start; stale
-    screening is harmless because termination is decided by the exact
-    residual recomputed from scratch.  Non-convergence within ``max_iter``
-    sweeps is flagged on the certificate, not raised.
+    The dual problem projects y onto the polytope {p : |a_j . p| <= alpha};
+    its solution is the residual y - Ax of every minimizer, and x_j = s_j u_j
+    for the multipliers u_j >= 0 of the active constraints s_j a_j . p <=
+    alpha.  The method starts at p = y (x = 0) with no active constraint.
+    Each step adds the most violated constraint with its sign: a partial step
+    toward it stops where an active multiplier reaches zero and drops that
+    constraint, and a full step makes the new constraint active.  The
+    multipliers come from a QR factorization of the active normals, updated
+    as constraints enter and leave; after each full step they are recomputed
+    from the factors, so at most n_rows columns carry mass.
 
-    ``warm_start`` seeds the iteration with the exact update of the single
-    best-correlated coordinate, kept only when it already passes the global
-    optimality check; single-spike data is then solved outright.
+    Each step starts from the residual y - Ax recomputed from scratch, and
+    the loop stops once its optimality residual is <= tol.  A step is one
+    added constraint together with the constraints dropped on the way.  The
+    loop also stops when ``max_iter`` steps are spent, or when the most
+    violated constraint is already active, so that only rounding keeps the
+    residual above tol; both are flagged on the certificate, not raised.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -232,45 +198,62 @@ def solve(
     a = problem.operator.entries
     y = problem.y
     alpha = problem.alpha
-    n = problem.operator.n_cols
-    col_sq = np.einsum("ij,ij->j", a, a)
-    x = np.zeros(n)
-    if warm_start:
-        corr0 = a.T @ y
-        best = int(np.argmax(np.abs(corr0)))
-        if col_sq[best] > 0.0:
-            x[best] = soft_threshold(float(corr0[best]), alpha) / col_sq[best]
-            if _kkt_residual(a.T @ (y - a @ x), x, alpha) > tol:
-                x[best] = 0.0
-    sweeps = 0
+    x = np.zeros(problem.operator.n_cols)
+    active: list[int] = []
+    signs, u = np.zeros(0), np.zeros(0)
+    q, r = np.zeros((len(y), 0)), np.zeros((0, 0))  # active normals N = q r
+    steps = 0
     converged = False
-    residual = math.inf
     while True:
-        r = y - a @ x
-        corr = a.T @ r
+        corr = a.T @ (y - a @ x)
         residual = _kkt_residual(corr, x, alpha)
         if residual <= tol:
             converged = True
             break
-        if sweeps >= max_iter:
-            break
-        visit = np.nonzero((x != 0.0) | (np.abs(corr) > alpha))[0]
-        for j in visit:
-            if col_sq[j] == 0.0:
-                continue
-            cj = float(a[:, j] @ r) + col_sq[j] * x[j]
-            new = soft_threshold(cj, alpha) / col_sq[j]
-            if new != x[j]:
-                r += a[:, j] * (x[j] - new)
-                x[j] = new
-        sweeps += 1
-        _polish_support(a, y, alpha, x, max_support=min(400, n))
+        j = int(np.argmax(np.abs(corr)))
+        violation = abs(float(corr[j])) - alpha
+        if steps >= max_iter or violation <= 0.0 or j in active:
+            break  # budget spent, or rounding sets the residual's floor
+        sign = math.copysign(1.0, corr[j])
+        normal = sign * a[:, j]
+        while True:
+            d = q.T @ normal
+            z = normal - q @ d  # the part of the normal no active one spans
+            zz = float(z @ z)
+            full = violation / zz if zz > 1e-24 * float(normal @ normal) else math.inf
+            direction = _back_substitute(r, d)  # how the active multipliers fall
+            ratios = np.full(len(u) + 1, math.inf)
+            blocking = np.nonzero(direction > 0.0)[0]
+            ratios[blocking] = u[blocking] / direction[blocking]
+            drop = int(np.argmin(ratios))
+            if full <= ratios[drop]:
+                break
+            u = np.delete(u - ratios[drop] * direction, drop)
+            violation -= ratios[drop] * zz
+            q, r = _drop_column(q, r, drop)
+            del active[drop]
+            signs = np.delete(signs, drop)
+        if full == math.inf:
+            break  # the dual is infeasible, impossible for alpha > 0
+        rho = math.sqrt(zz)
+        q = np.column_stack([q, z / rho])
+        grown = np.zeros((len(d) + 1, len(d) + 1))
+        grown[:-1, :-1], grown[:, -1] = r, np.append(d, rho)
+        r = grown
+        active.append(j)
+        signs = np.append(signs, sign)
+        # multipliers of the new active set: N u = y - p with N^T p = alpha
+        w = _forward_substitute(r, np.full(len(active), alpha))
+        u = np.maximum(_back_substitute(r, q.T @ y - w), 0.0)
+        x[:] = 0.0
+        x[active] = signs * u
+        steps += 1
     support = tuple(int(j) + 1 for j in np.nonzero(np.abs(x) > SUPPORT_EPS)[0])
     return MinimizerCertificate(
         x=x,
         objective=objective(problem, x),
         residual=residual,
-        iterations=sweeps,
+        iterations=steps,
         support=support,
         converged=converged,
     )

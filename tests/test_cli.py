@@ -81,15 +81,6 @@ def test_verify_theorem_rejects_bad_index(tmp_path):
     assert code == 2
 
 
-def test_verify_theorem_jobs_match_serial(tmp_path):
-    args = ["verify-theorem", "--depth", "60", "--indices", "1,5",
-            "--multipliers=-2,2"]
-    code_a, text_a = run(tmp_path, *args, name="serial.csv")
-    code_b, text_b = run(tmp_path, *args, "--jobs", "3", name="parallel.csv")
-    assert code_a == code_b == 0
-    assert text_a == text_b
-
-
 def test_collapse_small_schedule(tmp_path):
     code, text = run(
         tmp_path, "collapse", "--y", "random3", "--depths", "50,200",
@@ -207,6 +198,57 @@ def test_config_file_defaults_and_flag_priority(tmp_path):
     code, text = run(tmp_path, "enumerate", "--config", str(cfg), "--entry", "2")
     assert code == 0
     assert len(text.strip().split("\n")) > 9  # explicit flag wins
+
+
+@pytest.mark.parametrize("flag", [["--alpha=0.3"], ["--alpha", "0.3"]])
+def test_config_file_loses_to_explicit_flag_in_both_forms(tmp_path, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 0.2, "depths": "50"}))
+    code, text = run(tmp_path, "collapse", *flag, "--config", str(cfg),
+                     "--format", "json")
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["meta"]["alpha"] == 0.3
+    assert [row["depth"] for row in payload["rows"]] == [50]  # from the file
+
+
+def test_config_file_values_match_the_flags_they_replace(tmp_path):
+    # a JSON integer for a float option must report as the flag's float does
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"depth": 60, "alpha": 1, "indices": "17",
+                               "multipliers": "2", "format": "json"}))
+    code_a, text_a = run(tmp_path, "verify-theorem", "--config", str(cfg),
+                         name="config.json")
+    code_b, text_b = run(tmp_path, "verify-theorem", "--depth", "60",
+                         "--alpha", "1", "--indices", "17", "--multipliers",
+                         "2", "--format", "json", name="flags.json")
+    assert code_a == code_b == 0
+    assert text_a == text_b
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("verify-theorem", {"depth": "20"}),
+        ("verify-theorem", {"depth": 20.5}),
+        ("verify-theorem", {"depth": True}),
+        ("collapse", {"alpha": "0.3"}),
+        ("collapse", {"depths": [50, 200]}),
+        ("classify", {"catalog": "yes"}),
+        ("enumerate", {"format": "xml"}),
+        ("enumerate", {"bogus": 1}),
+        ("enumerate", {"config": "other.json"}),
+        ("enumerate", {"func": None}),
+        ("enumerate", [["support", 2]]),
+    ],
+)
+def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, _ = run(tmp_path, command, "--config", str(cfg))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_reports_are_deterministic(tmp_path):

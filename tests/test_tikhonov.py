@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from illposed.directions import EnumerationParams, enumerate_directions
-from illposed.operators import diagonal, mazur
+from illposed.operators import (
+    TruncatedOperator,
+    diagonal,
+    injective_counterexample,
+    mazur,
+)
 from illposed.tikhonov import (
     TikhonovProblem,
     closed_form_minimizer,
@@ -157,19 +162,146 @@ def test_solve_matches_closed_form_family(b200, master_directions):
         assert dist <= 1e-8
 
 
-def test_descent_path_reaches_closed_form_without_warm_start(
-    b200, master_directions
-):
-    # force the full sweep machinery instead of the single-spike shortcut
+def test_active_set_path_reaches_closed_form(b200, master_directions):
+    # the solver starts from x = 0 and must take at least one active-set step
     for k, lam in ((17, 0.6), (17, -3.0), (60, 0.6)):
         prob = problem_for(b200, master_directions, k, lam)
-        cert = solve(prob, tol=1e-12, max_iter=50000, warm_start=False)
+        cert = solve(prob, tol=1e-12, max_iter=50000)
         assert cert.converged and cert.iterations > 0
         assert cert.residual <= 1e-10
         dist = minimizer_family_distance(
             cert.x, master_directions[:200], k, lam, ALPHA
         )
         assert dist <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "seed, size, bounds, depth",
+    [(4, 3, (3, 8), 4034), (42, 4, (4, 6), 25536)],
+)
+def test_collapse_certifies_deep_generic_data(seed, size, bounds, depth):
+    directions = enumerate_directions(EnumerationParams(2.0, *bounds))
+    y = np.random.default_rng(seed).standard_normal(size)
+    y /= np.linalg.norm(y)
+    (row,) = collapse_experiment(directions, y, 0.1, [depth])
+    assert row.converged
+    problem = TikhonovProblem(mazur(directions, depth, size), y, 0.1)
+    assert optimality_residual(problem, row.solution) <= 1e-10
+    assert 1 <= row.support_size <= size
+
+
+# Objective values certified by the coordinate-descent solver this module used
+# before the active-set method, for data A e_1 + delta u with alpha = delta.
+WIDE_ROW_OBJECTIVES = [
+    ("diag", 50, 0.1, 0.10054674986387667),
+    ("diag", 50, 0.001, 0.0010000546749863878),
+    ("diag", 200, 0.1, 0.10024178345186494),
+    ("diag", 200, 0.001, 0.0010000241783451865),
+    ("diag", 400, 0.1, 0.10015889762083158),
+    ("diag", 400, 0.001, 0.0010000158897620832),
+    ("inj", 50, 0.1, 0.09945319201195293),
+    ("inj", 50, 0.001, 0.0009997749581234568),
+    ("inj", 200, 0.1, 0.09990348665727124),
+    ("inj", 200, 0.001, 0.0009997734032294457),
+    ("inj", 400, 0.1, 0.09997955510082224),
+    ("inj", 400, 0.001, 0.000999785587698594),
+]
+
+
+@pytest.mark.parametrize("name, n, delta, expected", WIDE_ROW_OBJECTIVES)
+def test_wide_row_operators_match_previous_objectives(name, n, delta, expected):
+    if name == "diag":
+        op = diagonal(lambda k: 1.0 / k, n, domain_exponent=1.0)
+    else:
+        op = injective_counterexample(n)
+    u = np.random.default_rng(42).standard_normal(n)
+    u /= np.linalg.norm(u)
+    cert = solve(TikhonovProblem(op, op.entries[:, 0] + delta * u, delta))
+    assert cert.converged and cert.residual <= 1e-10
+    assert cert.objective == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_step_budget_is_reported_not_raised():
+    op = injective_counterexample(50)
+    u = np.random.default_rng(42).standard_normal(50)
+    problem = TikhonovProblem(op, op.entries[:, 0] + 1e-3 * u / np.linalg.norm(u), 1e-3)
+    cert = solve(problem, max_iter=3)
+    assert not cert.converged and cert.iterations == 3
+    assert cert.residual == pytest.approx(optimality_residual(problem, cert.x))
+    assert solve(problem).iterations > 3
+
+
+depths = st.integers(min_value=1, max_value=400)
+data = st.lists(
+    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False), min_size=3, max_size=3
+)
+alphas = st.floats(min_value=0.01, max_value=2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(depths, data, alphas, st.floats(min_value=0.1, max_value=10.0))
+def test_scaling_data_and_alpha_scales_fit_and_norm(
+    master_directions, depth, y, alpha, c
+):
+    op = mazur(master_directions, depth, 3)
+    y = np.array(y)
+    base = solve(TikhonovProblem(op, y, alpha))
+    scaled = solve(TikhonovProblem(op, c * y, c * alpha))
+    assert base.converged and scaled.converged
+    scale = max(1.0, float(np.abs(c * y).max()))
+    np.testing.assert_allclose(
+        op.entries @ scaled.x, c * (op.entries @ base.x), rtol=0, atol=1e-9 * scale
+    )
+    assert float(np.abs(scaled.x).sum()) == pytest.approx(
+        c * float(np.abs(base.x).sum()), rel=1e-9, abs=1e-12 * scale
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(depths, data, alphas, st.randoms(use_true_random=False))
+def test_permuting_columns_keeps_the_objective(
+    master_directions, depth, y, alpha, rnd
+):
+    op = mazur(master_directions, depth, 3)
+    perm = list(range(depth))
+    rnd.shuffle(perm)
+    shuffled = TruncatedOperator(
+        op.entries[:, perm], op.domain_tag, op.codomain_tag, op.attributes, op.label
+    )
+    y = np.array(y)
+    base = solve(TikhonovProblem(op, y, alpha))
+    other = solve(TikhonovProblem(shuffled, y, alpha))
+    assert base.converged and other.converged
+    assert other.objective == pytest.approx(base.objective, rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(depths, data, alphas)
+def test_objective_never_worse_than_zero(master_directions, depth, y, alpha):
+    problem = TikhonovProblem(mazur(master_directions, depth, 3), np.array(y), alpha)
+    cert = solve(problem)
+    assert cert.converged
+    assert cert.objective <= objective(problem, np.zeros(depth))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    depths,
+    st.data(),
+    st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
+)
+def test_random_spike_data_lands_on_closed_form_family(
+    master_directions, depth, draw, lam
+):
+    k = draw.draw(st.integers(min_value=1, max_value=depth))
+    op = mazur(master_directions, depth, 3)
+    prob = problem_for(op, master_directions, k, lam)
+    cert = solve(prob, tol=1e-12)
+    assert cert.converged
+    dist = minimizer_family_distance(
+        cert.x, master_directions[:depth], k, lam, ALPHA
+    )
+    assert dist <= 1e-8
 
 
 def test_solve_inside_dead_zone(b200, master_directions):
