@@ -15,10 +15,12 @@ verdicts.
 from __future__ import annotations
 
 import enum
+import functools
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .directions import EnumerationParams, enumerate_directions
+from .directions import EnumerationParams, RationalDirection, enumerate_directions
 from .operators import (
     OperatorAttributes,
     TruncatedOperator,
@@ -39,7 +41,10 @@ __all__ = [
     "check_consistency",
     "CatalogEntry",
     "catalog",
+    "OPERATORS",
+    "build_operator",
     "build_catalog_operator",
+    "harmonic",
     "catalog_report_json",
 ]
 
@@ -329,51 +334,83 @@ def catalog() -> list[CatalogEntry]:
     ]
 
 
+def harmonic(k: int) -> float:
+    """Weight 1/k of the compact diagonal ``diag``."""
+    return 1.0 / k
+
+
+Directions = Callable[[], list[RationalDirection]]
+_diag = functools.partial(diagonal, harmonic)
+_embed = functools.partial(embedding, 2.0, 4.0)
+
+
+def _mazur(n: int, directions: Directions) -> TruncatedOperator:
+    dirs = directions()
+    # rows follow the prefix's support; mazur() rejects n outside the enumeration
+    return mazur(dirs, n, max((d.support for d in dirs[:n]), default=1))
+
+
+def _after_mazur(
+    outer: Callable[[int], TruncatedOperator], n: int, directions: Directions
+) -> TruncatedOperator:
+    inner = _mazur(n, directions)
+    return compose(outer(inner.n_rows), inner)
+
+
+def _mazur_x_identity(n: int, directions: Directions) -> TruncatedOperator:
+    inner = _mazur(n, directions)
+    return block_product(inner, identity(inner.n_rows))
+
+
+# name -> builder(size, directions, domain exponent of a standalone diag)
+OPERATORS: dict[str, Callable[[int, Directions, float], TruncatedOperator]] = {
+    "B": lambda n, dirs, p: _mazur(n, dirs),
+    "E2p": lambda n, dirs, p: _embed(n),
+    "diag": lambda n, dirs, p: _diag(n, domain_exponent=p),
+    "EoB": lambda n, dirs, p: _after_mazur(_embed, n, dirs),
+    "CoB": lambda n, dirs, p: _after_mazur(_diag, n, dirs),
+    "BxI": lambda n, dirs, p: _mazur_x_identity(n, dirs),
+    "D1": lambda n, dirs, p: block_product(_diag(n), identity(n)),
+    "D2": lambda n, dirs, p: block_product(identity(n), _diag(n)),
+    "D2oD1": lambda n, dirs, p: block_product(_diag(n), _diag(n)),
+    "inj": lambda n, dirs, p: injective_counterexample(n),
+    "identity": lambda n, dirs, p: identity(n),
+    "embed": lambda n, dirs, p: _embed(n),
+}
+
+
+def build_operator(
+    name: str, size: int, directions: Directions, domain_exponent: float = 2.0
+) -> TruncatedOperator:
+    """Build the truncation registered under ``name`` in ``OPERATORS``.
+
+    ``directions`` returns the enumeration; only the names built on the
+    direction operator (B, EoB, CoB, BxI) call it.  Those take the first
+    ``size`` directions, with rows following their support, and size the
+    outer or paired factor to those rows.  Every other name is built at
+    dimension ``size`` (per block for D1, D2, D2oD1).  ``domain_exponent``
+    is the domain of a standalone ``diag``; other names keep their own.
+    """
+    builder = OPERATORS.get(name)
+    if builder is None:
+        raise ValueError(f"unknown operator {name!r}; known: {', '.join(OPERATORS)}")
+    return builder(size, directions, domain_exponent)
+
+
 def build_catalog_operator(
     label: str,
     depth: int = 200,
     params: EnumerationParams | None = None,
 ) -> TruncatedOperator:
-    """Construct the truncation behind a catalog label.
+    """Construct the truncation behind a catalog label via ``build_operator``.
 
     Dense-direction truncations take the first ``depth`` directions of the
-    enumeration given by ``params``; row counts follow the direction support.
+    enumeration given by ``params``, which is computed only for them.
+    ``inj`` needs two rows, so it is built at ``max(depth, 2)``.
     """
     params = params or EnumerationParams()
-    directions = enumerate_directions(params)
-    if depth > len(directions):
-        raise ValueError(
-            f"depth {depth} exceeds enumeration length {len(directions)}"
-        )
-    rows = max(d.support for d in directions[:depth])
-
-    def _mazur() -> TruncatedOperator:
-        return mazur(directions, depth, rows)
-
-    def _diag(n: int, exponent: float = 2.0) -> TruncatedOperator:
-        return diagonal(lambda k: 1.0 / k, n, domain_exponent=exponent)
-
-    if label == "B":
-        return _mazur()
-    if label == "E2p":
-        return embedding(2.0, 4.0, depth)
-    if label == "diag":
-        return _diag(depth)
-    if label == "EoB":
-        return compose(embedding(2.0, 4.0, rows), _mazur())
-    if label == "CoB":
-        return compose(_diag(rows), _mazur())
-    if label == "BxI":
-        return block_product(_mazur(), identity(rows))
-    if label == "D1":
-        return block_product(_diag(depth), identity(depth))
-    if label == "D2":
-        return block_product(identity(depth), _diag(depth))
-    if label == "D2oD1":
-        return block_product(_diag(depth), _diag(depth))
-    if label == "inj":
-        return injective_counterexample(max(depth, 2))
-    raise ValueError(f"unknown catalog label {label!r}")
+    size = max(depth, 2) if label == "inj" else depth
+    return build_operator(label, size, lambda: enumerate_directions(params))
 
 
 def catalog_report_json() -> str:

@@ -10,33 +10,28 @@ Examples
   illposed convergence --operator diag --n 50 --x-true e:1
   illposed growth --operator diag --sizes 8,64,512
 
-Every command writes a CSV report (JSON mirror via --format json) that is
-byte-identical across reruns with the same configuration.  Exit codes:
-0 success, 2 invalid input, 3 flagged numerical rows.
+Every command writes a CSV report (JSON mirror via --format json; classify
+--flags writes JSON in both) that is byte-identical across reruns with the
+same configuration.  Exit codes: 0 success, 2 invalid input, 3 flagged
+numerical rows.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 import numpy as np
 
-from .classify import catalog, check_consistency, classify
+from .classify import OPERATORS, build_operator, catalog, check_consistency, classify
 from .directions import (
     EnumerationParams,
     directions_to_json,
     enumerate_directions,
 )
-from .operators import (
-    OperatorAttributes,
-    diagonal,
-    embedding,
-    identity,
-    injective_counterexample,
-    mazur,
-)
+from .operators import OperatorAttributes
 from .probes import composition_probe, pseudoinverse_growth, weak_star_probe
 from .reports import csv_report, fmt, json_report
 from .tikhonov import (
@@ -56,6 +51,8 @@ EXIT_FLAGGED = 3
 
 DEFAULT_SEED = 42
 
+_NAMES = ", ".join(OPERATORS)
+
 
 def _write(text: str, out: str | None) -> None:
     if out is None or out == "-":
@@ -63,6 +60,30 @@ def _write(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+
+
+def emit(
+    args,
+    header: list[str],
+    rows: list[list],
+    meta: dict | None = None,
+    comments: tuple[str, ...] = (),
+) -> None:
+    """Write a report table to ``args.out`` in ``args.format``.
+
+    JSON carries all of ``meta``; CSV writes only the ``comments`` keys of
+    ``meta``, as ``# key=value`` lines above the header.
+    """
+    if args.format == "json":
+        _write(json_report(header, rows, meta), args.out)
+    else:
+        lines = [f"{key}={fmt(meta[key])}" for key in comments]
+        _write(csv_report(header, rows, lines), args.out)
+
+
+def _fields(record) -> list:
+    """The values of a result record's CSV_FIELDS, in header order."""
+    return [getattr(record, name) for name in record.CSV_FIELDS]
 
 
 def _int_list(text: str) -> list[int]:
@@ -73,29 +94,36 @@ def _float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part]
 
 
-def _enumeration(args) -> list:
+def _nonempty(values: list, option: str) -> list:
+    if not values:
+        raise ValueError(f"{option} lists no values")
+    return values
+
+
+def _directions(args):
+    """The enumeration named by the command's bounds, computed on first call.
+
+    ``growth`` takes no bounds and uses the default enumeration.
+    """
+    default = EnumerationParams()
     params = EnumerationParams(
-        q=getattr(args, "q", 2.0),
-        max_support=args.support,
-        max_entry=args.entry,
+        q=getattr(args, "q", default.q),
+        max_support=getattr(args, "support", default.max_support),
+        max_entry=getattr(args, "entry", default.max_entry),
     )
-    return enumerate_directions(params)
+    return functools.cache(lambda: enumerate_directions(params))
 
 
 def _parse_vector(spec: str, dim: int, directions, seed: int) -> np.ndarray:
-    """Vector specs: 'random3', 'zeta:K', 'e:K', 'ones', or comma floats."""
-    if spec.startswith("random"):
-        size = int(spec[len("random"):])
-        vec = np.random.default_rng(seed).standard_normal(size)
-        vec /= np.linalg.norm(vec)
-        out = np.zeros(max(dim, size))
-        out[:size] = vec
-        return out[:dim] if dim else out
+    """Vector specs: 'random3', 'zeta:K', 'e:K', 'ones', or comma floats.
+
+    Only 'zeta:K' calls ``directions``; 'randomK' and comma vectors must fit ``dim``.
+    """
     if spec.startswith("zeta:"):
         k = int(spec.split(":")[1])
-        if not 1 <= k <= len(directions):
+        if not 1 <= k <= len(directions()):
             raise ValueError(f"direction index {k} out of range")
-        return directions[k - 1].realized_padded(dim)
+        return directions()[k - 1].realized_padded(dim)
     if spec.startswith("e:"):
         k = int(spec.split(":")[1])
         if not 1 <= k <= dim:
@@ -105,7 +133,11 @@ def _parse_vector(spec: str, dim: int, directions, seed: int) -> np.ndarray:
         return out
     if spec == "ones":
         return np.ones(dim)
-    values = np.array(_float_list(spec))
+    if spec.startswith("random"):
+        values = np.random.default_rng(seed).standard_normal(int(spec[len("random"):]))
+        values /= np.linalg.norm(values)
+    else:
+        values = np.array(_float_list(spec))
     if dim and len(values) > dim:
         raise ValueError(f"vector longer than dimension {dim}")
     out = np.zeros(dim if dim else len(values))
@@ -114,7 +146,7 @@ def _parse_vector(spec: str, dim: int, directions, seed: int) -> np.ndarray:
 
 
 def cmd_enumerate(args) -> int:
-    directions = _enumeration(args)
+    directions = _directions(args)()
     if args.format == "json":
         _write(directions_to_json(directions) + "\n", args.out)
     else:
@@ -168,15 +200,14 @@ def _theorem_case(directions, op, k, lam, alpha, tol, gammas):
 
 
 def cmd_verify_theorem(args) -> int:
-    directions = _enumeration(args)
-    if args.depth > len(directions):
-        raise ValueError(f"depth {args.depth} exceeds enumeration length")
-    n_rows = max(d.support for d in directions[: args.depth])
-    op = mazur(directions, args.depth, n_rows)
-    indices = _int_list(args.indices)
+    directions = _directions(args)()
+    if not 1 <= args.depth <= len(directions):
+        raise ValueError(f"--depth must lie in 1..{len(directions)}")
+    op = build_operator("B", args.depth, lambda: directions)
+    indices = _nonempty(_int_list(args.indices), "--indices")
     if any(not 1 <= k <= args.depth for k in indices):
         raise ValueError(f"grid indices must lie in 1..{args.depth}")
-    multipliers = _float_list(args.multipliers)
+    multipliers = _nonempty(_float_list(args.multipliers), "--multipliers")
     rows = [
         _theorem_case(
             directions, op, k, m * args.alpha, args.alpha, args.tol_residual,
@@ -198,13 +229,7 @@ def cmd_verify_theorem(args) -> int:
         "converged",
     ]
     meta = {"depth": args.depth, "max_deviation": max(r[3] for r in rows)}
-    if args.format == "json":
-        _write(json_report(header, rows, meta), args.out)
-    else:
-        _write(
-            csv_report(header, rows, [f"max_deviation={fmt(meta['max_deviation'])}"]),
-            args.out,
-        )
+    emit(args, header, rows, meta, ("max_deviation",))
     if any(not r[8] for r in rows):
         return EXIT_FLAGGED
     if any(r[3] > args.tol_match for r in rows):
@@ -213,63 +238,30 @@ def cmd_verify_theorem(args) -> int:
 
 
 def cmd_collapse(args) -> int:
-    directions = _enumeration(args)
+    directions = _directions(args)
     depths = _int_list(args.depths)
     y = _parse_vector(args.y, 0, directions, args.seed)
     probes = tuple(_int_list(args.probes))
     rows = collapse_experiment(
-        directions, y, args.alpha, depths, probe_indices=probes, tol=args.tol
+        directions(), y, args.alpha, depths, probe_indices=probes, tol=args.tol
     )
     header = list(rows[0].CSV_FIELDS) + [f"coord_{j}" for j in probes] + ["converged"]
-    table = [
-        [
-            r.depth,
-            r.support_index,
-            r.support_size,
-            r.best_correlation,
-            r.beta,
-            r.l1_norm,
-            *r.coord_values,
-            r.converged,
-        ]
-        for r in rows
-    ]
+    table = [_fields(r) + [*r.coord_values, r.converged] for r in rows]
     meta = {"seed": args.seed, "alpha": args.alpha, "y": args.y}
-    if args.format == "json":
-        _write(json_report(header, table, meta), args.out)
-    else:
-        _write(csv_report(header, table, [f"seed={args.seed}", f"y={args.y}"]), args.out)
+    emit(args, header, table, meta, ("seed", "y"))
     return EXIT_FLAGGED if any(not r.converged for r in rows) else EXIT_OK
 
 
-def _probe_operator(args, directions):
-    label = args.operator
-    if label == "B":
-        rows = max(d.support for d in directions[: args.n])
-        return mazur(directions, args.n, rows)
-    if label == "diag":
-        return diagonal(lambda k: 1.0 / k, args.n)
-    if label == "inj":
-        return injective_counterexample(args.n)
-    raise ValueError(f"unknown probe operator {label!r}")
-
-
 def cmd_probe(args) -> int:
-    directions = _enumeration(args)
+    if args.n < 1:
+        raise ValueError("--n must be at least 1")
+    directions = _directions(args)
     if args.compose:
-        rows_needed = max(d.support for d in directions[: args.n])
-        base = mazur(directions, args.n, rows_needed)
-        if args.compose == "identity":
-            outer = identity(rows_needed)
-        elif args.compose == "diag":
-            outer = diagonal(lambda k: 1.0 / k, rows_needed)
-        elif args.compose == "embed":
-            outer = embedding(2.0, 4.0, rows_needed)
-        else:
-            raise ValueError(f"unknown composition factor {args.compose!r}")
+        base = build_operator("B", args.n, directions)
+        outer = build_operator(args.compose, base.n_rows, directions)
         report = composition_probe(outer, base, args.n, threshold=args.threshold)
     else:
-        op = _probe_operator(args, directions)
+        op = build_operator(args.operator, args.n, directions)
         eta = _parse_vector(args.eta, op.n_rows, directions, args.seed)
         report = weak_star_probe(op, eta, args.n, threshold=args.threshold)
     if args.format == "json":
@@ -332,24 +324,15 @@ def cmd_classify(args) -> int:
                 ";".join(v.rule for v in violations),
             ]
         )
-    if args.format == "json":
-        _write(json_report(header, rows), args.out)
-    else:
-        _write(csv_report(header, rows), args.out)
+    emit(args, header, rows)
     return EXIT_OK if clean else EXIT_FLAGGED
 
 
 def cmd_convergence(args) -> int:
     deltas = _float_list(args.deltas)
-    if args.operator == "diag":
-        op = diagonal(lambda k: 1.0 / k, args.n, domain_exponent=1.0)
-        directions = []
-    elif args.operator == "B":
-        directions = _enumeration(args)
-        rows_needed = max(d.support for d in directions[: args.n])
-        op = mazur(directions, args.n, rows_needed)
-    else:
-        raise ValueError(f"unknown operator {args.operator!r}")
+    directions = _directions(args)
+    # the Tikhonov problem needs an l^1 domain, so diag is built on l^1 here
+    op = build_operator(args.operator, args.n, directions, domain_exponent=1.0)
     x_true = _parse_vector(args.x_true, op.n_cols, directions, args.seed)
     report = convergence_experiment(
         op,
@@ -360,43 +343,18 @@ def cmd_convergence(args) -> int:
         tol=args.tol,
     )
     header = list(report.rows[0].CSV_FIELDS) + ["converged"]
-    table = [
-        [r.delta, r.alpha, r.error_l1, r.support_index, r.support_size, r.converged]
-        for r in report.rows
-    ]
+    table = [_fields(r) + [r.converged] for r in report.rows]
     meta = {"guaranteed": report.guaranteed, "seed": args.seed}
-    if args.format == "json":
-        _write(json_report(header, table, meta), args.out)
-    else:
-        _write(
-            csv_report(
-                header,
-                table,
-                [f"guaranteed={fmt(report.guaranteed)}", f"seed={args.seed}"],
-            ),
-            args.out,
-        )
+    emit(args, header, table, meta, ("guaranteed", "seed"))
     return EXIT_FLAGGED if any(not r.converged for r in report.rows) else EXIT_OK
 
 
 def cmd_growth(args) -> int:
-    sizes = _int_list(args.sizes)
-    family = []
-    for n in sizes:
-        if args.operator == "diag":
-            family.append(diagonal(lambda k: 1.0 / k, n))
-        elif args.operator == "identity":
-            family.append(identity(n))
-        elif args.operator == "inj":
-            family.append(injective_counterexample(n))
-        else:
-            raise ValueError(f"unknown operator {args.operator!r}")
+    sizes = _nonempty(_int_list(args.sizes), "--sizes")
+    directions = _directions(args)
+    family = [build_operator(args.operator, n, directions) for n in sizes]
     rows = [list(entry) for entry in pseudoinverse_growth(family)]
-    header = ["n", "min_singular_value", "growth"]
-    if args.format == "json":
-        _write(json_report(header, rows), args.out)
-    else:
-        _write(csv_report(header, rows), args.out)
+    emit(args, ["n", "min_singular_value", "growth"], rows)
     return EXIT_OK
 
 
@@ -448,14 +406,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_collapse)
 
     p = sub.add_parser("probe", help="weak*-null basis pairings")
-    p.add_argument("--operator", default="B", help="B, diag, or inj")
+    p.add_argument("--operator", default="B", help=f"operator name: {_NAMES}")
     p.add_argument("--eta", default="zeta:1")
-    p.add_argument("--n", type=int, default=2000)
+    p.add_argument("--n", type=int, default=2000, help="operator size and pairing count")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument(
         "--compose",
         default=None,
-        help="probe a composition with this outer factor: identity, diag, embed",
+        help="probe NAME o B, with NAME (as for --operator) built at B's row count",
     )
     _add_enum_bounds(p)
     _add_common(p)
@@ -468,8 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("convergence", help="noise-to-zero error table")
-    p.add_argument("--operator", default="diag", help="diag or B")
-    p.add_argument("--n", type=int, default=50)
+    p.add_argument(
+        "--operator",
+        default="diag",
+        help=f"operator name: {_NAMES}; the problem needs l^1 -> l^2 (B, diag, inj, CoB)",
+    )
+    p.add_argument("--n", type=int, default=50, help="operator size")
     p.add_argument("--x-true", dest="x_true", default="e:1")
     p.add_argument("--deltas", default="1e-1,1e-2,1e-3,1e-4,1e-5")
     p.add_argument("--alpha-factor", dest="alpha_factor", type=float, default=1.0)
@@ -479,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("growth", help="inverse growth across truncation sizes")
-    p.add_argument("--operator", default="diag", help="diag, identity, or inj")
-    p.add_argument("--sizes", default="8,64,512")
+    p.add_argument("--operator", default="diag", help=f"operator name: {_NAMES}")
+    p.add_argument("--sizes", default="8,64,512", help="operator sizes")
     _add_common(p)
     p.set_defaults(func=cmd_growth)
 

@@ -136,10 +136,10 @@ def enumerate_directions(params: EnumerationParams) -> list[RationalDirection]:
 
 def realized_matrix(directions: list[RationalDirection], n_rows: int) -> np.ndarray:
     """Stack realized directions as columns of an ``n_rows x len(directions)`` array."""
-    max_support = max(d.support for d in directions)
-    if n_rows < max_support:
+    needed = max(d.support for d in directions)
+    if n_rows < needed:
         raise ValueError(
-            f"n_rows={n_rows} cannot hold a direction with support {max_support}"
+            f"support overflow: direction needs {needed} rows, truncation has {n_rows}"
         )
     mat = np.zeros((n_rows, len(directions)))
     for j, d in enumerate(directions):

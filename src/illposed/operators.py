@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .directions import RationalDirection
+from .directions import RationalDirection, realized_matrix
 
 __all__ = [
     "SpaceTag",
@@ -168,15 +168,8 @@ def mazur(
     """
     if n_cols < 1 or n_cols > len(directions):
         raise ValueError(f"n_cols must be in 1..{len(directions)}")
-    needed = max(d.support for d in directions[:n_cols])
-    if n_rows < needed:
-        raise ValueError(
-            f"support overflow: direction needs {needed} rows, truncation has {n_rows}"
-        )
     q = directions[0].q
-    entries = np.zeros((n_rows, n_cols))
-    for j, d in enumerate(directions[:n_cols]):
-        entries[: d.support, j] = d.realized
+    entries = realized_matrix(directions[:n_cols], n_rows)
     attrs = OperatorAttributes(
         range_closed=True,
         range_has_closed_infdim_subspace=True,

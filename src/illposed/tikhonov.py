@@ -404,6 +404,8 @@ def collapse_experiment(
         )
     if min(depth_schedule) < 1:
         raise ValueError("depths must be positive")
+    if any(j < 1 for j in probe_indices):
+        raise ValueError("probe indices must be >= 1")
     _, top = coverage(directions[:max_depth], y)
     if top > 1.0 - 1e-9:
         raise ValueError("y is (numerically) proportional to an enumerated direction")

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 from dataclasses import replace
@@ -169,6 +170,18 @@ def test_build_catalog_operator_validation():
         build_catalog_operator("nope")
     with pytest.raises(ValueError):
         build_catalog_operator("B", depth=10**6)
+    assert build_catalog_operator("inj", depth=1).n_cols == 2
+
+
+@pytest.mark.parametrize("label", ["diag", "inj", "D2oD1"])
+def test_names_without_directions_never_enumerate(monkeypatch, label):
+    def fail(params):
+        raise AssertionError("enumerated directions")
+
+    # the package re-exports the classify() function under the module's name
+    module = importlib.import_module("illposed.classify")
+    monkeypatch.setattr(module, "enumerate_directions", fail)
+    assert build_catalog_operator(label, depth=50).n_cols in (50, 100)
 
 
 def test_catalog_report_json():

@@ -1,8 +1,12 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from illposed.classify import OPERATORS
 from illposed.cli import main
 from illposed.directions import (
     EnumerationParams,
@@ -104,6 +108,43 @@ def test_collapse_rejects_direction_data(tmp_path):
     assert code == 2
 
 
+def test_collapse_rejects_probe_index_zero(tmp_path, capsys):
+    code, _ = run(tmp_path, "collapse", "--depths", "50", "--probes", "0")
+    assert code == 2
+    assert "probe indices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probe", "--operator", "B", "--eta", "random9"],
+        ["probe", "--operator", "B", "--eta", "1,0,0,1"],
+        ["convergence", "--operator", "diag", "--n", "5", "--x-true", "random9"],
+        ["convergence", "--operator", "B", "--n", "5", "--x-true", "random9"],
+    ],
+)
+def test_vector_longer_than_operator_exits_2(tmp_path, capsys, argv):
+    code, _ = run(tmp_path, *argv)
+    assert code == 2
+    assert "vector longer than dimension" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["growth", "--sizes", ","], "--sizes"),
+        (["verify-theorem", "--indices", ","], "--indices"),
+        (["verify-theorem", "--multipliers", ","], "--multipliers"),
+        (["verify-theorem", "--depth", "0"], "--depth"),
+        (["probe", "--n", "0"], "--n"),
+    ],
+)
+def test_empty_schedule_or_zero_size_names_the_option(tmp_path, capsys, argv, option):
+    code, _ = run(tmp_path, *argv)
+    assert code == 2
+    assert option in capsys.readouterr().err
+
+
 def test_probe_mazur_persists(tmp_path):
     code, text = run(tmp_path, "probe", "--operator", "B", "--eta", "zeta:1",
                      "--n", "400", "--format", "json")
@@ -127,6 +168,11 @@ def test_probe_diag_converges(tmp_path):
                      "--n", "200", "--format", "json")
     assert code == 0
     assert json.loads(text)["verdict"] == "converges_to_zero"
+
+
+def test_probe_counterexample_needs_two_rows(tmp_path):
+    code, _ = run(tmp_path, "probe", "--operator", "inj", "--n", "1")
+    assert code == 2
 
 
 def test_probe_composition_matches_identity_factor(tmp_path):
@@ -251,6 +297,39 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, config)
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", list(OPERATORS))
+def test_every_operator_name_probes_grows_and_solves(tmp_path, name):
+    assert run(tmp_path, "probe", "--operator", name, "--n", "60")[0] == 0
+    assert run(tmp_path, "growth", "--operator", name, "--sizes", "8,16")[0] == 0
+    # the Tikhonov problem takes only operators from l^1 into l^2
+    expected = 0 if name in ("B", "diag", "inj", "CoB") else 2
+    assert run(tmp_path, "convergence", "--operator", name, "--n", "30")[0] == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probe", "--operator", "nope"],
+        ["probe", "--compose", "nope"],
+        ["growth", "--operator", "nope"],
+        ["convergence", "--operator", "nope"],
+    ],
+)
+def test_unknown_operator_name_exits_2(tmp_path, argv):
+    assert run(tmp_path, *argv)[0] == 2
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    return [
+        shlex.split(line)[1:]
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("illposed ")
+    ]
+
+
 def test_reports_are_deterministic(tmp_path):
     for args in (
         ["enumerate", "--support", "2", "--entry", "2"],
@@ -262,3 +341,11 @@ def test_reports_are_deterministic(tmp_path):
         _, first = run(tmp_path, *args, name="a.txt")
         _, second = run(tmp_path, *args, name="b.txt")
         assert first == second
+    readme = _readme_commands()
+    assert len(readme) >= 10
+    for args in readme:
+        for fmt in ("csv", "json"):
+            code_a, first = run(tmp_path, *args, "--format", fmt, name="a.txt")
+            code_b, second = run(tmp_path, *args, "--format", fmt, name="b.txt")
+            assert code_a == code_b == 0, args
+            assert first and first == second, args

@@ -410,6 +410,10 @@ def test_collapse_validation(master_directions):
         collapse_experiment(master_directions, np.array([0.05, 0.0, 0.0]), 0.1, [50])
     with pytest.raises(ValueError, match="exceeds"):
         collapse_experiment(master_directions, np.array([1.0, 0.7, 0.3]), 0.1, [10**6])
+    with pytest.raises(ValueError, match="probe indices"):
+        collapse_experiment(
+            master_directions, np.array([1.0, 0.7, 0.3]), 0.1, [50], probe_indices=(0,)
+        )
 
 
 def test_collapse_rows_track_coverage(master_directions):
