@@ -15,6 +15,7 @@ from .classify import (
     classify,
 )
 from .directions import (
+    DirectionSet,
     EnumerationParams,
     RationalDirection,
     coverage,

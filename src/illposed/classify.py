@@ -17,10 +17,15 @@ from __future__ import annotations
 import enum
 import functools
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .directions import EnumerationParams, RationalDirection, enumerate_directions
+from .directions import (
+    DirectionSet,
+    EnumerationParams,
+    RationalDirection,
+    enumerate_directions,
+)
 from .operators import (
     OperatorAttributes,
     TruncatedOperator,
@@ -339,15 +344,15 @@ def harmonic(k: int) -> float:
     return 1.0 / k
 
 
-Directions = Callable[[], list[RationalDirection]]
+Directions = Callable[[], Sequence[RationalDirection]]
 _diag = functools.partial(diagonal, harmonic)
 _embed = functools.partial(embedding, 2.0, 4.0)
 
 
 def _mazur(n: int, directions: Directions) -> TruncatedOperator:
-    dirs = directions()
+    dirs = DirectionSet.of(directions())
     # rows follow the prefix's support; mazur() rejects n outside the enumeration
-    return mazur(dirs, n, max((d.support for d in dirs[:n]), default=1))
+    return mazur(dirs, n, int(dirs.support[:n].max(initial=1)))
 
 
 def _after_mazur(

@@ -6,19 +6,29 @@ realization.  The enumeration walks shells ordered by support bound, then by
 entry bound, then descending lexicographically, so a run with larger bounds
 extends a run with smaller ones and antipodal vectors always land in the same
 shell.  Indices are 1-based and stable across runs.
+
+An enumeration is stored by columns in a ``DirectionSet``: an int64 canon
+matrix, a support vector, a read-only realized matrix and a 1-based antipode
+array, each shell computed as one numpy block.  Negation maps a shell onto
+itself and reverses descending lexicographic order, so the antipode of the
+i-th of a shell's N vectors is its (N-1-i)-th, with no search.  The
+``RationalDirection`` items of a set read their ``realized`` as row views of
+the shared matrix.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 __all__ = [
     "RationalDirection",
+    "DirectionSet",
     "EnumerationParams",
     "enumerate_directions",
     "coverage",
@@ -28,7 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class RationalDirection:
     """A canonical integer vector and its unit realization in l^q.
 
@@ -81,6 +91,103 @@ class RationalDirection:
         return hash(self.canon)
 
 
+_new_direction = object.__new__
+_SETTERS = tuple(
+    getattr(RationalDirection, name).__set__
+    for name in ("canon", "index", "q", "realized")
+)
+
+
+def _trusted_direction(
+    canon: tuple[int, ...], index: int, q: float, realized: np.ndarray
+) -> RationalDirection:
+    # fields already validated block-wise by the enumeration; skips __post_init__
+    d = _new_direction(RationalDirection)
+    set_canon, set_index, set_q, set_realized = _SETTERS
+    set_canon(d, canon)
+    set_index(d, index)
+    set_q(d, q)
+    set_realized(d, realized)
+    return d
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    # the owner of the data could switch the flag back; a view of it cannot
+    return array[...] if array.base is None else array
+
+
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class DirectionSet(Sequence):
+    """An immutable sequence of directions stored by columns.
+
+    Row i of each array describes item i (direction index ``i + 1`` for an
+    enumeration): ``canon`` is the zero-padded int64 canon matrix,
+    ``support`` the support vector, ``realized`` the zero-padded unit
+    realization, and ``antipodes`` the 1-based position of the opposite
+    direction within the set, 0 when it is absent.  All four are read-only.
+    Indexing, slicing and iteration behave as on a list of
+    ``RationalDirection``; a prefix slice shares the arrays.  Build one with
+    ``enumerate_directions`` or ``DirectionSet.of``.
+    """
+
+    _items: list[RationalDirection]
+    canon: np.ndarray
+    support: np.ndarray
+    realized: np.ndarray
+    antipodes: np.ndarray
+    q: float
+
+    def __post_init__(self) -> None:
+        for name in ("canon", "support", "realized", "antipodes"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+
+    @classmethod
+    def of(cls, directions: Sequence[RationalDirection]) -> DirectionSet:
+        """The set holding ``directions`` in order; a DirectionSet is returned as is."""
+        if isinstance(directions, DirectionSet):
+            return directions
+        items = list(directions)
+        width = max((d.support for d in items), default=0)
+        canon = np.zeros((len(items), width), dtype=np.int64)
+        realized = np.zeros((len(items), width))
+        position: dict[tuple[int, ...], int] = {}
+        for i, d in enumerate(items):
+            canon[i, : d.support] = d.canon
+            realized[i, : d.support] = d.realized
+            position.setdefault(d.canon, i + 1)
+        antipodes = np.array(
+            [position.get(d.antipode_canon(), 0) for d in items], dtype=np.int64
+        )
+        support = np.array([d.support for d in items], dtype=np.int64)
+        q = items[0].q if items else 2.0
+        return cls(items, canon, support, realized, antipodes, q)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __getitem__(self, key):
+        if not isinstance(key, slice):
+            return self._items[key]
+        start, stop, step = key.indices(len(self))
+        if start != 0 or step != 1:
+            return DirectionSet.of(self._items[key])
+        if stop == len(self):
+            return self
+        antipodes = self.antipodes[:stop]
+        return DirectionSet(
+            self._items[:stop],
+            self.canon[:stop],
+            self.support[:stop],
+            self.realized[:stop],
+            np.where(antipodes <= stop, antipodes, 0),
+            self.q,
+        )
+
+
 @dataclass(frozen=True)
 class EnumerationParams:
     """Bounds defining a finite enumeration prefix: support s, entries in [-m, m]."""
@@ -101,54 +208,89 @@ def shell_of(canon: tuple[int, ...]) -> tuple[int, int]:
     return len(canon), max(abs(c) for c in canon)
 
 
-def _shell_vectors(support: int, entry: int) -> list[tuple[int, ...]]:
+def _shell(support: int, entry: int) -> np.ndarray:
     # Vectors of exact support `support` and exact max entry `entry`, primitive,
-    # in descending lexicographic order (the product below iterates that way).
-    out = []
-    rng = range(entry, -entry - 1, -1)
-    for vec in itertools.product(rng, repeat=support):
-        if vec[-1] == 0:
-            continue
-        if max(abs(c) for c in vec) != entry:
-            continue
-        if math.gcd(*[abs(c) for c in vec]) != 1:
-            continue
-        out.append(vec)
-    return out
+    # as rows in descending lexicographic order (meshgrid "ij" over a
+    # descending axis varies the last coordinate fastest).  int8 keeps the
+    # temporaries small when it holds +-entry.
+    axis = np.arange(entry, -entry - 1, -1, dtype=np.int8 if entry < 128 else np.int64)
+    grid = np.meshgrid(*[axis] * support, indexing="ij", copy=False)
+    vecs = np.stack(grid, axis=-1).reshape(-1, support)
+    mags = np.abs(vecs)
+    keep = vecs[:, -1] != 0
+    keep &= mags.max(axis=1) == entry
+    keep &= np.gcd.reduce(mags, axis=1) == 1
+    return vecs[keep]
 
 
-def enumerate_directions(params: EnumerationParams) -> list[RationalDirection]:
+def _unit_rows(vecs: np.ndarray, powers: np.ndarray, q: float, out: np.ndarray) -> None:
+    # Writes canon / ||canon||_q row by row into `out` with the constructor's
+    # arithmetic: the same power of each |entry| (powers[m] = m ** q), the
+    # same row sum, and the scalar pow applied once per distinct sum (the
+    # vectorized pow may differ in the last bit).
+    sums = powers[np.abs(vecs)].sum(axis=1)
+    distinct, which = np.unique(sums, return_inverse=True)
+    norms = np.array([float(s ** (1.0 / q)) for s in distinct])
+    np.divide(vecs, norms[which][:, None], out=out)
+
+
+def enumerate_directions(params: EnumerationParams) -> DirectionSet:
     """Enumerate every primitive vector within the bounds, each exactly once.
 
     The order is fixed: shells by increasing support bound, then increasing
     entry bound, then descending lexicographic within the shell.  The result
     is a pure function of ``params``.
     """
-    directions: list[RationalDirection] = []
-    index = 1
-    for support in range(1, params.max_support + 1):
-        for entry in range(1, params.max_entry + 1):
-            for canon in _shell_vectors(support, entry):
-                directions.append(RationalDirection(canon, index, params.q))
-                index += 1
-    return directions
+    shells = [
+        _shell(support, entry)
+        for support in range(1, params.max_support + 1)
+        for entry in range(1, params.max_entry + 1)
+    ]
+    total = sum(len(block) for block in shells)
+    canon = np.zeros((total, params.max_support), dtype=np.int64)
+    support = np.empty(total, dtype=np.int64)
+    realized = np.zeros((total, params.max_support))
+    antipodes = np.empty(total, dtype=np.int64)
+    powers = np.arange(params.max_entry + 1, dtype=float) ** params.q
+    start = 0
+    for block in shells:
+        end = start + len(block)
+        width = block.shape[1]
+        canon[start:end, :width] = block
+        support[start:end] = width
+        _unit_rows(block, powers, params.q, realized[start:end, :width])
+        antipodes[start:end] = np.arange(end, start, -1)  # the shell's mirror
+        start = end
+    realized.flags.writeable = False
+    items: list[RationalDirection] = []
+    start = 0
+    for block in shells:
+        end = start + len(block)
+        width = block.shape[1]
+        canons = zip(*[column.tolist() for column in block.T])
+        rows = list(realized[start:end, :width])
+        indices = range(start + 1, end + 1)
+        items.extend(map(_trusted_direction, canons, indices, repeat(params.q), rows))
+        start = end
+    return DirectionSet(items, canon, support, realized, antipodes, params.q)
 
 
-def realized_matrix(directions: list[RationalDirection], n_rows: int) -> np.ndarray:
+def realized_matrix(directions: Sequence[RationalDirection], n_rows: int) -> np.ndarray:
     """Stack realized directions as columns of an ``n_rows x len(directions)`` array."""
-    needed = max(d.support for d in directions)
+    directions = DirectionSet.of(directions)
+    needed = int(directions.support.max(initial=0))
     if n_rows < needed:
         raise ValueError(
             f"support overflow: direction needs {needed} rows, truncation has {n_rows}"
         )
+    width = min(n_rows, directions.realized.shape[1])
     mat = np.zeros((n_rows, len(directions)))
-    for j, d in enumerate(directions):
-        mat[: d.support, j] = d.realized
+    mat[:width] = directions.realized[:, :width].T
     return mat
 
 
 def coverage(
-    directions: list[RationalDirection], y: np.ndarray, q: float = 2.0
+    directions: Sequence[RationalDirection], y: np.ndarray, q: float = 2.0
 ) -> tuple[int, float]:
     """Best Euclidean correlation of y's direction with the enumerated set.
 
@@ -158,13 +300,14 @@ def coverage(
     """
     if q != 2.0:
         raise ValueError("coverage is defined for q = 2 only")
+    directions = DirectionSet.of(directions)
     if not directions:
         raise ValueError("directions must be nonempty")
     y = np.asarray(y, dtype=float)
     norm = float(np.linalg.norm(y))
     if norm == 0.0:
         raise ValueError("coverage target must be nonzero")
-    dim = max(len(y), max(d.support for d in directions))
+    dim = max(len(y), int(directions.support.max()))
     yhat = np.zeros(dim)
     yhat[: len(y)] = y / norm
     mat = realized_matrix(directions, dim)
@@ -173,7 +316,7 @@ def coverage(
     return best + 1, float(corr[best])
 
 
-def directions_to_json(directions: list[RationalDirection]) -> str:
+def directions_to_json(directions: Sequence[RationalDirection]) -> str:
     records = [{"index": d.index, "canon": list(d.canon), "q": d.q} for d in directions]
     return json.dumps(records, indent=2)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -158,7 +159,7 @@ class TruncatedOperator:
 
 
 def mazur(
-    directions: list[RationalDirection], n_cols: int, n_rows: int
+    directions: Sequence[RationalDirection], n_cols: int, n_rows: int
 ) -> TruncatedOperator:
     """Truncation of the surjection of l^1 onto l^q built from unit directions.
 

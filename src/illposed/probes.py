@@ -72,13 +72,16 @@ def weak_star_probe(
     """Pair eta against the basis images A e^(1) .. A e^(N).
 
     The pairing with A e^(n) is exactly the n-th adjoint component, so the
-    whole report is one transposed matrix-vector product.
+    whole report is one transposed matrix-vector product.  A zero eta is
+    rejected: its pairings vanish for every operator, so they witness nothing.
     """
     if not 1 <= n_terms <= op.n_cols:
         raise ValueError(f"n_terms must be in 1..{op.n_cols}")
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (op.n_rows,):
         raise ValueError(f"eta must have length {op.n_rows}")
+    if not np.any(eta):
+        raise ValueError("eta must be a nonzero functional")
     pairings = (op.entries.T @ eta)[:n_terms]
     return ProbeReport(op.label, eta, pairings, threshold)
 

@@ -25,11 +25,12 @@ module are 1-based, matching direction indices.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .directions import RationalDirection, coverage
+from .directions import DirectionSet, RationalDirection, coverage
 from .operators import TruncatedOperator, mazur
 
 __all__ = [
@@ -260,19 +261,20 @@ def solve(
 
 
 def _antipode_index(
-    directions: list[RationalDirection], k: int, limit: int | None = None
+    directions: Sequence[RationalDirection], k: int, limit: int | None = None
 ) -> int | None:
-    """1-based index of the direction opposite to direction k, if enumerated."""
-    target = directions[k - 1].antipode_canon()
+    """1-based index of the direction opposite to direction k, if enumerated.
+
+    Only the first ``limit`` directions count, all of them when it is None.
+    """
+    directions = DirectionSet.of(directions)
+    l = int(directions.antipodes[k - 1])
     stop = len(directions) if limit is None else min(limit, len(directions))
-    for j in range(stop):
-        if directions[j].canon == target:
-            return j + 1
-    return None
+    return l if 0 < l <= stop else None
 
 
 def closed_form_minimizer(
-    directions: list[RationalDirection],
+    directions: Sequence[RationalDirection],
     k: int,
     lam: float,
     alpha: float,
@@ -316,7 +318,7 @@ def closed_form_minimizer(
 
 def minimizer_family_distance(
     x: np.ndarray,
-    directions: list[RationalDirection],
+    directions: Sequence[RationalDirection],
     k: int,
     lam: float,
     alpha: float,
@@ -375,7 +377,7 @@ class CollapseRow:
 
 
 def collapse_experiment(
-    directions: list[RationalDirection],
+    directions: Sequence[RationalDirection],
     y: np.ndarray,
     alpha: float,
     depth_schedule: list[int],
@@ -406,18 +408,19 @@ def collapse_experiment(
         raise ValueError("depths must be positive")
     if any(j < 1 for j in probe_indices):
         raise ValueError("probe indices must be >= 1")
+    directions = DirectionSet.of(directions)
     _, top = coverage(directions[:max_depth], y)
     if top > 1.0 - 1e-9:
         raise ValueError("y is (numerically) proportional to an enumerated direction")
     rows: list[CollapseRow] = []
     for depth in depth_schedule:
-        prefix = directions[:depth]
-        n_rows = max(len(y), max(d.support for d in prefix))
-        op = mazur(prefix, depth, n_rows)
+        n_rows = max(len(y), int(directions.support[:depth].max()))
+        op = mazur(directions, depth, n_rows)
         data = np.zeros(n_rows)
         data[: len(y)] = y
         cert = solve(TikhonovProblem(op, data, alpha), tol=tol, max_iter=max_iter)
-        _, corr = coverage(prefix, y)
+        # coverage of the prefix: the columns of op against y / ||y||_2
+        corr = float(np.max(op.entries.T @ (data / norm_y)))
         dominant = int(np.argmax(np.abs(cert.x))) + 1
         values = tuple(
             float(cert.x[j - 1]) if j <= depth else 0.0 for j in probe_indices

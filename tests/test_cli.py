@@ -129,6 +129,14 @@ def test_vector_longer_than_operator_exits_2(tmp_path, capsys, argv):
     assert "vector longer than dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eta", ["random0", "0,0"])
+def test_probe_rejects_zero_functional(tmp_path, capsys, eta):
+    code, text = run(tmp_path, "probe", "--operator", "B", "--eta", eta, "--n", "50")
+    assert code == 2
+    assert text == ""
+    assert "nonzero functional" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [

@@ -56,6 +56,8 @@ def test_probe_validation(master_directions):
         weak_star_probe(op, np.zeros(4), 5)
     with pytest.raises(ValueError):
         weak_star_probe(op, np.zeros(3), 11)
+    with pytest.raises(ValueError, match="nonzero functional"):
+        weak_star_probe(op, np.zeros(3), 5)
 
 
 def test_composition_probe_identity_reduces_to_base(master_directions):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from illposed.directions import EnumerationParams, enumerate_directions
+from illposed.directions import EnumerationParams, coverage, enumerate_directions
 from illposed.operators import (
     TruncatedOperator,
     diagonal,
@@ -428,6 +428,18 @@ def test_collapse_rows_track_coverage(master_directions):
         assert row.l1_norm > 0.0
         assert len(row.coord_values) == 3
         assert row.solution.shape == (row.depth,)
+
+
+def test_collapse_best_correlation_is_prefix_coverage(master_directions):
+    y = np.random.default_rng(5).standard_normal(3)
+    depths = [1, 50, 200, 4034]
+    rows = collapse_experiment(master_directions, y, 0.1, depths)
+    for row, depth in zip(rows, depths):
+        assert row.best_correlation == coverage(master_directions[:depth], y)[1]
+    short = collapse_experiment(master_directions, y[:2], 0.1, [1, 9])
+    assert [r.best_correlation for r in short] == [
+        coverage(master_directions[:depth], y[:2])[1] for depth in (1, 9)
+    ]
 
 
 def test_convergence_experiment_diagonal_matches_formula():
