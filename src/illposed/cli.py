@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -255,6 +256,8 @@ def cmd_collapse(args) -> int:
 def cmd_probe(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be at least 1")
+    if not (math.isfinite(args.threshold) and args.threshold > 0.0):
+        raise ValueError("--threshold must be a positive finite number")
     directions = _directions(args)
     if args.compose:
         base = build_operator("B", args.n, directions)
@@ -351,6 +354,8 @@ def cmd_convergence(args) -> int:
 
 def cmd_growth(args) -> int:
     sizes = _nonempty(_int_list(args.sizes), "--sizes")
+    if min(sizes) < 1:
+        raise ValueError("--sizes must be at least 1")
     directions = _directions(args)
     family = [build_operator(args.operator, n, directions) for n in sizes]
     rows = [list(entry) for entry in pseudoinverse_growth(family)]

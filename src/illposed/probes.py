@@ -11,6 +11,7 @@ raw pairings so any threshold can be re-applied afterwards.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +52,23 @@ class ProbeReport:
         return "persists" if self.sup_tail >= self.threshold else "converges_to_zero"
 
     def to_csv(self) -> str:
-        lines = ["n,pairing"]
-        for n, value in enumerate(self.pairings, start=1):
-            lines.append(f"{n},{value:.17g}")
-        return "\n".join(lines) + "\n"
+        """One ``n,pairing`` line per pairing, each value to 17 significant digits.
+
+        Probe pairings repeat heavily (a basis functional against the
+        direction operator takes a few hundred values over tens of thousands
+        of terms), so each distinct value is formatted once and the lines
+        are filled from one template.  Values are grouped by their bit
+        pattern, not by float equality, which would merge -0.0 with 0.0.
+        """
+        values = np.ascontiguousarray(self.pairings, dtype=np.float64)
+        n = len(values)
+        keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        distinct = tuple(keys.view(np.float64).tolist())
+        text = ("%.17g\n" * len(distinct) % distinct).split("\n")[:-1]
+        cells = [0] * (2 * n)
+        cells[0::2] = range(1, n + 1)
+        cells[1::2] = np.array(text, dtype=object)[inverse].tolist()
+        return "n,pairing\n" + ("%d,%s\n" * n) % tuple(cells)
 
     def summary_json(self) -> str:
         return json.dumps(
@@ -72,14 +86,20 @@ def weak_star_probe(
     """Pair eta against the basis images A e^(1) .. A e^(N).
 
     The pairing with A e^(n) is exactly the n-th adjoint component, so the
-    whole report is one transposed matrix-vector product.  A zero eta is
-    rejected: its pairings vanish for every operator, so they witness nothing.
+    whole report is one transposed matrix-vector product.  A zero or
+    non-finite eta is rejected: its pairings vanish for every operator, or
+    are not numbers, so they witness nothing.  So is a threshold that is not
+    a positive finite number, against which every verdict is the same.
     """
     if not 1 <= n_terms <= op.n_cols:
         raise ValueError(f"n_terms must be in 1..{op.n_cols}")
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise ValueError("threshold must be a positive finite number")
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (op.n_rows,):
         raise ValueError(f"eta must have length {op.n_rows}")
+    if not np.all(np.isfinite(eta)):
+        raise ValueError("eta must be finite")
     if not np.any(eta):
         raise ValueError("eta must be a nonzero functional")
     pairings = (op.entries.T @ eta)[:n_terms]

@@ -137,6 +137,26 @@ def test_probe_rejects_zero_functional(tmp_path, capsys, eta):
     assert "nonzero functional" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eta", ["nan,1", "inf,1", "1,-inf"])
+def test_probe_rejects_non_finite_functional(tmp_path, capsys, eta):
+    code, text = run(tmp_path, "probe", "--operator", "B", "--eta", eta, "--n", "20")
+    assert code == 2
+    assert text == ""
+    assert "eta must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [["probe", "--operator", "B", "--eta", "zeta:1"], ["probe", "--compose", "diag"]],
+)
+def test_probe_rejects_threshold_that_decides_every_verdict(tmp_path, capsys, argv, threshold):
+    code, text = run(tmp_path, *argv, "--n", "50", f"--threshold={threshold}")
+    assert code == 2
+    assert text == ""
+    assert "--threshold" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [
@@ -145,6 +165,9 @@ def test_probe_rejects_zero_functional(tmp_path, capsys, eta):
         (["verify-theorem", "--multipliers", ","], "--multipliers"),
         (["verify-theorem", "--depth", "0"], "--depth"),
         (["probe", "--n", "0"], "--n"),
+        (["growth", "--sizes=-3"], "--sizes"),
+        (["growth", "--sizes", "0"], "--sizes"),
+        (["growth", "--sizes", "8,0,16"], "--sizes"),
     ],
 )
 def test_empty_schedule_or_zero_size_names_the_option(tmp_path, capsys, argv, option):

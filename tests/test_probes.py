@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from illposed.operators import (
     OperatorAttributes,
@@ -13,7 +15,12 @@ from illposed.operators import (
     injective_counterexample,
     mazur,
 )
-from illposed.probes import composition_probe, pseudoinverse_growth, weak_star_probe
+from illposed.probes import (
+    ProbeReport,
+    composition_probe,
+    pseudoinverse_growth,
+    weak_star_probe,
+)
 
 
 def test_diagonal_probe_decays():
@@ -58,6 +65,25 @@ def test_probe_validation(master_directions):
         weak_star_probe(op, np.zeros(3), 11)
     with pytest.raises(ValueError, match="nonzero functional"):
         weak_star_probe(op, np.zeros(3), 5)
+
+
+@pytest.mark.parametrize(
+    "eta", [[np.nan, 1.0, 0.0], [np.inf, 1.0, 0.0], [0.0, -np.inf, 0.0], [np.nan] * 3]
+)
+def test_probe_rejects_non_finite_functional(master_directions, eta):
+    op = mazur(master_directions, 10, 3)
+    with pytest.raises(ValueError, match="eta must be finite"):
+        weak_star_probe(op, np.array(eta), 5)
+
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0])
+def test_probe_rejects_threshold_that_decides_every_verdict(master_directions, threshold):
+    op = mazur(master_directions, 10, 3)
+    eta = master_directions[0].realized_padded(3)
+    with pytest.raises(ValueError, match="threshold"):
+        weak_star_probe(op, eta, 5, threshold=threshold)
+    with pytest.raises(ValueError, match="threshold"):
+        composition_probe(identity(3), op, 5, threshold=threshold)
 
 
 def test_composition_probe_identity_reduces_to_base(master_directions):
@@ -155,3 +181,87 @@ def test_probe_report_exports():
     summary = json.loads(report.summary_json())
     assert set(summary) == {"label", "sup_tail", "verdict"}
     assert summary["verdict"] == "converges_to_zero"
+
+
+def _reference_csv(pairings) -> str:
+    """Reference for ``ProbeReport.to_csv``: one f-string per pairing, line by line."""
+    lines = ["n,pairing"]
+    for n, value in enumerate(pairings, start=1):
+        lines.append(f"{n},{value:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def _csv(values) -> str:
+    return ProbeReport("test", np.ones(1), np.asarray(values, dtype=float), 0.5).to_csv()
+
+
+def _bits(*patterns):
+    return list(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+_TINY = 5e-324  # the smallest subnormal
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        pytest.param([], id="empty"),
+        pytest.param([-0.0, 0.0, 0.0, -0.0, 0.0], id="signed-zeros"),
+        pytest.param([0.0], id="length-1-zero"),
+        pytest.param([-0.0], id="length-1-negative-zero"),
+        pytest.param([0.3], id="length-1"),
+        pytest.param(
+            [np.nan, 1.0, -np.nan, np.nan, 0.0]
+            + _bits(0x7FF8000000000001, 0xFFF0000000000001, 0x7FF0000000000001),
+            id="nans-and-payloads",
+        ),
+        pytest.param([np.inf, -np.inf, np.inf, 1.0, -np.inf], id="infinities"),
+        pytest.param(
+            [_TINY, -_TINY, 123 * _TINY, 2.2250738585072009e-308, 2.2250738585072014e-308],
+            id="subnormals",
+        ),
+        pytest.param(
+            [
+                1e-5, np.nextafter(1e-5, 0.0), np.nextafter(1e-5, 1.0), -1e-5, 1e-4,
+                1e16, np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf), -1e16,
+                1e17, np.nextafter(1e17, 0.0), np.nextafter(1e17, np.inf), 1.7976931348623157e308,
+            ],
+            id="exponent-switch",
+        ),
+        pytest.param(np.tile([0.1, 1.0 / 3.0, -2.5, 0.0, -0.0], 2000), id="heavy-repeats"),
+        pytest.param(np.full(3000, -1.0 / 7.0), id="one-value"),
+        pytest.param(np.random.default_rng(5).standard_normal(5000), id="all-distinct"),
+    ],
+)
+def test_to_csv_matches_per_line_formatting(values):
+    assert _csv(values) == _reference_csv(np.asarray(values, dtype=float))
+
+
+def test_to_csv_matches_per_line_formatting_on_probes(master_directions):
+    n = len(master_directions)
+    op = mazur(master_directions, n, 3)
+    reports = [
+        weak_star_probe(op, master_directions[40].realized_padded(3), n),
+        weak_star_probe(op, np.array([0.0, 1.0, 0.0]), n),
+        weak_star_probe(op, np.array([0.6, -0.48, 0.64]), n),
+        composition_probe(diagonal(lambda k: 1.0 / k, 3), op, n),
+    ]
+    for report in reports:
+        assert report.to_csv() == _reference_csv(report.pairings)
+
+
+_any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_edge_float = st.sampled_from(
+    [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, _TINY, -_TINY, 1e-5, 1e16, 1e17]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=st.lists(st.one_of(_edge_float, _any_float), min_size=1, max_size=12),
+    picks=st.lists(st.integers(min_value=0, max_value=11), min_size=1, max_size=300),
+    distinct=st.lists(_any_float, max_size=60),
+)
+def test_to_csv_property_matches_per_line_formatting(pool, picks, distinct):
+    values = [pool[i % len(pool)] for i in picks] + distinct
+    assert _csv(values) == _reference_csv(np.array(values, dtype=float))
