@@ -27,8 +27,6 @@ from .operators import (
     OperatorAttributes,
     SpaceTag,
     TruncatedOperator,
-    adjoint_apply,
-    apply,
     block_product,
     compose,
     diagonal,
@@ -37,9 +35,6 @@ from .operators import (
     injective_counterexample,
     injective_counterexample_inverse,
     mazur,
-    operator_from_json,
-    operator_to_json,
-    spectral_norm_estimate,
 )
 from .probes import (
     ProbeReport,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -50,7 +49,6 @@ __all__ = [
     "build_operator",
     "build_catalog_operator",
     "harmonic",
-    "catalog_report_json",
 ]
 
 
@@ -402,36 +400,12 @@ def build_operator(
     return builder(size, directions, domain_exponent)
 
 
-def build_catalog_operator(
-    label: str,
-    depth: int = 200,
-    params: EnumerationParams | None = None,
-) -> TruncatedOperator:
+def build_catalog_operator(label: str, depth: int = 200) -> TruncatedOperator:
     """Construct the truncation behind a catalog label via ``build_operator``.
 
     Dense-direction truncations take the first ``depth`` directions of the
-    enumeration given by ``params``, which is computed only for them.
-    ``inj`` needs two rows, so it is built at ``max(depth, 2)``.
+    default enumeration, which is computed only for them.  ``inj`` needs two
+    rows, so it is built at ``max(depth, 2)``.
     """
-    params = params or EnumerationParams()
     size = max(depth, 2) if label == "inj" else depth
-    return build_operator(label, size, lambda: enumerate_directions(params))
-
-
-def catalog_report_json() -> str:
-    rows = []
-    for entry in catalog():
-        result = classify(entry.attributes)
-        rows.append(
-            {
-                "label": entry.label,
-                "note": entry.note,
-                "verdict": result.verdict.value,
-                "hybrid": result.hybrid,
-                "expected_verdict": entry.expected_verdict.value,
-                "expected_hybrid": entry.expected_hybrid,
-                "violations": [v.rule for v in check_consistency(entry.attributes)],
-                "attributes": dict(vars(entry.attributes)),
-            }
-        )
-    return json.dumps(rows, indent=2)
+    return build_operator(label, size, lambda: enumerate_directions(EnumerationParams()))

@@ -10,9 +10,10 @@ Examples
   illposed convergence --operator diag --n 50 --x-true e:1
   illposed growth --operator diag --sizes 8,64,512
 
-Every command writes a CSV report (JSON mirror via --format json; classify
---flags writes JSON in both) that is byte-identical across reruns with the
-same configuration.  Exit codes: 0 success, 2 invalid input, 3 flagged
+Every command writes a CSV report (JSON mirror via --format json) that is
+byte-identical across reruns with the same configuration; classify --flags
+writes one verdict,hybrid,violations row, its rationale in a "# rationale="
+line (in "meta" for JSON).  Exit codes: 0 success, 2 invalid input, 3 flagged
 numerical rows.
 """
 
@@ -209,6 +210,8 @@ def cmd_verify_theorem(args) -> int:
     if any(not 1 <= k <= args.depth for k in indices):
         raise ValueError(f"grid indices must lie in 1..{args.depth}")
     multipliers = _nonempty(_float_list(args.multipliers), "--multipliers")
+    if not all(math.isfinite(m * args.alpha) for m in [1.0, *multipliers]):
+        raise ValueError("--alpha and --alpha times each of --multipliers must be finite")
     rows = [
         _theorem_case(
             directions, op, k, m * args.alpha, args.alpha, args.tol_residual,
@@ -295,16 +298,10 @@ def cmd_classify(args) -> int:
     if args.flags:
         attrs = _parse_flags(args.flags)
         result = classify(attrs)
-        violations = check_consistency(attrs)
-        payload = {
-            "verdict": result.verdict.value,
-            "hybrid": result.hybrid,
-            "rationale": list(result.rationale),
-            "violations": [
-                {"rule": v.rule, "statement": v.statement} for v in violations
-            ],
-        }
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
+        rules = ";".join(v.rule for v in check_consistency(attrs))
+        meta = {"rationale": "; ".join(result.rationale)}
+        emit(args, ["verdict", "hybrid", "violations"],
+             [[result.verdict.value, result.hybrid, rules]], meta, ("rationale",))
         return EXIT_OK
     header = ["label", "verdict", "hybrid", "expected_verdict", "match", "violations"]
     rows = []

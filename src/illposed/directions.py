@@ -32,7 +32,6 @@ __all__ = [
     "EnumerationParams",
     "enumerate_directions",
     "coverage",
-    "shell_of",
     "directions_to_json",
     "directions_from_json",
 ]
@@ -203,11 +202,6 @@ class EnumerationParams:
             raise ValueError("q must satisfy 1 < q < inf")
 
 
-def shell_of(canon: tuple[int, ...]) -> tuple[int, int]:
-    """Shell key (support bound, entry bound) a canonical vector belongs to."""
-    return len(canon), max(abs(c) for c in canon)
-
-
 def _shell(support: int, entry: int) -> np.ndarray:
     # Vectors of exact support `support` and exact max entry `entry`, primitive,
     # as rows in descending lexicographic order (meshgrid "ij" over a
@@ -289,20 +283,18 @@ def realized_matrix(directions: Sequence[RationalDirection], n_rows: int) -> np.
     return mat
 
 
-def coverage(
-    directions: Sequence[RationalDirection], y: np.ndarray, q: float = 2.0
-) -> tuple[int, float]:
+def coverage(directions: Sequence[RationalDirection], y: np.ndarray) -> tuple[int, float]:
     """Best Euclidean correlation of y's direction with the enumerated set.
 
     Returns ``(index, value)`` where index is the 1-based direction index
     attaining the maximum of <y/||y||_2, zeta> and ties break toward the
-    smallest index.  Only q = 2 is supported.
+    smallest index.  Only directions on the unit sphere of l^2 are supported.
     """
-    if q != 2.0:
-        raise ValueError("coverage is defined for q = 2 only")
     directions = DirectionSet.of(directions)
     if not directions:
         raise ValueError("directions must be nonempty")
+    if directions.q != 2.0:
+        raise ValueError("coverage is defined for q = 2 only")
     y = np.asarray(y, dtype=float)
     norm = float(np.linalg.norm(y))
     if norm == 0.0:

@@ -10,7 +10,6 @@ everything else degrades to unknown (None).
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -31,11 +30,6 @@ __all__ = [
     "block_product",
     "injective_counterexample",
     "injective_counterexample_inverse",
-    "apply",
-    "adjoint_apply",
-    "spectral_norm_estimate",
-    "operator_to_json",
-    "operator_from_json",
 ]
 
 
@@ -214,14 +208,11 @@ def embedding(p: float, q: float, n: int) -> TruncatedOperator:
     )
 
 
-def diagonal(
-    sigma, n: int, domain_exponent: float = 2.0, vanishing: bool = True
-) -> TruncatedOperator:
+def diagonal(sigma, n: int, domain_exponent: float = 2.0) -> TruncatedOperator:
     """diag(sigma_1..sigma_n) with positive nonincreasing weights.
 
-    ``vanishing`` declares that the full weight sequence tends to zero, which
-    makes the infinite operator compact with non-closed range; a sequence
-    bounded away from zero instead gives an isomorphism onto a closed range.
+    The full weight sequence is declared to tend to zero, which makes the
+    infinite operator compact with non-closed range.
     """
     if callable(sigma):
         weights = np.array([float(sigma(k)) for k in range(1, n + 1)])
@@ -233,24 +224,13 @@ def diagonal(
         raise ValueError("diagonal weights must be positive")
     if np.any(np.diff(weights) > 0.0):
         raise ValueError("diagonal weights must be nonincreasing")
-    if vanishing:
-        attrs = OperatorAttributes(
-            range_closed=False,
-            compact=True,
-            injective=True,
-            surjective=False,
-            weakstar_to_weak_continuous=True,
-        ).normalized()
-    else:
-        attrs = OperatorAttributes(
-            range_closed=True,
-            range_has_closed_infdim_subspace=True,
-            compact=False,
-            strictly_singular=False,
-            injective=True,
-            surjective=False,
-            weakstar_to_weak_continuous=True,
-        ).normalized()
+    attrs = OperatorAttributes(
+        range_closed=False,
+        compact=True,
+        injective=True,
+        surjective=False,
+        weakstar_to_weak_continuous=True,
+    ).normalized()
     return TruncatedOperator(
         np.diag(weights),
         SpaceTag.ell(domain_exponent, n),
@@ -457,102 +437,3 @@ def injective_counterexample_inverse(y: np.ndarray) -> np.ndarray:
     x[1:] = ks * y[1:]
     x[0] = y[0] - np.sum(x[1:])
     return x
-
-
-def apply(op: TruncatedOperator, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (op.n_cols,):
-        raise ValueError(f"expected vector of length {op.n_cols}, got {x.shape}")
-    return op.entries @ x
-
-
-def adjoint_apply(op: TruncatedOperator, eta: np.ndarray) -> np.ndarray:
-    """Adjoint action: component k is the pairing of eta with column k."""
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != (op.n_rows,):
-        raise ValueError(f"expected vector of length {op.n_rows}, got {eta.shape}")
-    return op.entries.T @ eta
-
-
-def spectral_norm_estimate(
-    op: TruncatedOperator, iters: int = 200, tol: float = 1e-12
-) -> float:
-    """Largest singular value by power iteration on the Gram matrix.
-
-    The start vector is the normalized all-ones vector; if that collapses
-    into the null-space, a fixed seeded vector restarts the iteration so the
-    estimate stays deterministic.
-    """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    a = op.entries
-    gram_side = min(a.shape)
-    if a.shape[0] <= a.shape[1]:
-        gram = a @ a.T
-    else:
-        gram = a.T @ a
-    v = np.ones(gram_side) / math.sqrt(gram_side)
-    prev = 0.0
-    for _ in range(iters):
-        w = gram @ v
-        norm = float(np.linalg.norm(w))
-        if norm <= 1e-300:
-            # all-ones started in the null-space; restart deterministically
-            v = np.random.default_rng(0).standard_normal(gram_side)
-            v /= np.linalg.norm(v)
-            continue
-        v = w / norm
-        estimate = float(v @ (gram @ v))
-        if abs(estimate - prev) <= tol * max(estimate, 1e-300):
-            prev = estimate
-            break
-        prev = estimate
-    return math.sqrt(max(prev, 0.0))
-
-
-def _tag_to_json(tag: SpaceTag) -> dict:
-    out: dict = {"family": tag.family, "exponent": tag.exponent, "dim": tag.dim}
-    if tag.parts:
-        out["parts"] = [_tag_to_json(p) for p in tag.parts]
-    return out
-
-
-def _tag_from_json(data: dict) -> SpaceTag:
-    parts = tuple(_tag_from_json(p) for p in data.get("parts", []))
-    exponent = data["exponent"]
-    return SpaceTag(
-        data["family"],
-        None if exponent is None else float(exponent),
-        int(data["dim"]),
-        parts,
-    )
-
-
-def operator_to_json(op: TruncatedOperator) -> str:
-    payload = {
-        "label": op.label,
-        "n_rows": op.n_rows,
-        "n_cols": op.n_cols,
-        "domain_tag": _tag_to_json(op.domain_tag),
-        "codomain_tag": _tag_to_json(op.codomain_tag),
-        "attributes": {k: v for k, v in vars(op.attributes).items()},
-        "mazur_truncation": op.mazur_truncation,
-        "entries": [float(v) for v in op.entries.reshape(-1)],
-    }
-    return json.dumps(payload, indent=2)
-
-
-def operator_from_json(text: str) -> TruncatedOperator:
-    data = json.loads(text)
-    entries = np.array(data["entries"], dtype=float).reshape(
-        data["n_rows"], data["n_cols"]
-    )
-    attrs = OperatorAttributes(**data["attributes"])
-    return TruncatedOperator(
-        entries,
-        _tag_from_json(data["domain_tag"]),
-        _tag_from_json(data["codomain_tag"]),
-        attrs,
-        data["label"],
-        bool(data.get("mazur_truncation", False)),
-    )

@@ -74,6 +74,7 @@ class ProbeReport:
         return json.dumps(
             {"label": self.label, "sup_tail": self.sup_tail, "verdict": self.verdict},
             indent=2,
+            allow_nan=False,
         )
 
 
@@ -89,7 +90,8 @@ def weak_star_probe(
     whole report is one transposed matrix-vector product.  A zero or
     non-finite eta is rejected: its pairings vanish for every operator, or
     are not numbers, so they witness nothing.  So is a threshold that is not
-    a positive finite number, against which every verdict is the same.
+    a positive finite number, against which every verdict is the same, and
+    an eta whose pairings overflow to infinity.
     """
     if not 1 <= n_terms <= op.n_cols:
         raise ValueError(f"n_terms must be in 1..{op.n_cols}")
@@ -102,7 +104,10 @@ def weak_star_probe(
         raise ValueError("eta must be finite")
     if not np.any(eta):
         raise ValueError("eta must be a nonzero functional")
-    pairings = (op.entries.T @ eta)[:n_terms]
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairings = (op.entries.T @ eta)[:n_terms]
+    if not np.all(np.isfinite(pairings)):
+        raise ValueError("pairings overflow: eta is too large for this operator")
     return ProbeReport(op.label, eta, pairings, threshold)
 
 

@@ -36,4 +36,4 @@ def json_report(header: list[str], rows: list[list], meta: dict | None = None) -
     if meta:
         payload["meta"] = meta
     payload["rows"] = [dict(zip(header, row)) for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"

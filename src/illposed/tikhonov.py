@@ -54,15 +54,19 @@ SUPPORT_EPS = 1e-12
 
 @dataclass(frozen=True)
 class TikhonovProblem:
-    """Operator truncation with l^1 domain, l^2 data vector, and alpha > 0."""
+    """Operator truncation with l^1 domain, finite l^2 data, and finite alpha > 0.
+
+    A non-finite alpha or data entry can read as a zero optimality residual
+    and certify the starting point x = 0, so both are rejected here.
+    """
 
     operator: TruncatedOperator
     y: np.ndarray
     alpha: float
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError("alpha must be a positive finite number")
         op = self.operator
         if op.domain_tag.family != "ell" or op.domain_tag.exponent != 1.0:
             raise ValueError(
@@ -74,6 +78,8 @@ class TikhonovProblem:
         y = np.asarray(self.y, dtype=float)
         if y.shape != (op.n_rows,):
             raise ValueError(f"y must have length {op.n_rows}, got {y.shape}")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y must be finite")
         y = y.copy()
         y.flags.writeable = False
         object.__setattr__(self, "y", y)
@@ -383,7 +389,6 @@ def collapse_experiment(
     depth_schedule: list[int],
     probe_indices: tuple[int, ...] = (1, 2, 3),
     tol: float = 1e-10,
-    max_iter: int = 10000,
 ) -> list[CollapseRow]:
     """Solve the problem on growing direction prefixes for fixed generic data.
 
@@ -394,6 +399,8 @@ def collapse_experiment(
     direction and must satisfy ||y||_2 > alpha.
     """
     y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite")
     norm_y = float(np.linalg.norm(y))
     if norm_y <= alpha:
         raise ValueError("collapse experiment needs ||y||_2 > alpha")
@@ -418,7 +425,7 @@ def collapse_experiment(
         op = mazur(directions, depth, n_rows)
         data = np.zeros(n_rows)
         data[: len(y)] = y
-        cert = solve(TikhonovProblem(op, data, alpha), tol=tol, max_iter=max_iter)
+        cert = solve(TikhonovProblem(op, data, alpha), tol=tol)
         # coverage of the prefix: the columns of op against y / ||y||_2
         corr = float(np.max(op.entries.T @ (data / norm_y)))
         dominant = int(np.argmax(np.abs(cert.x))) + 1
@@ -477,17 +484,16 @@ def convergence_experiment(
     x_true: np.ndarray,
     delta_schedule: list[float],
     alpha_rule=None,
-    noise_direction: np.ndarray | None = None,
     seed: int = 42,
     tol: float = 1e-10,
-    max_iter: int = 10000,
 ) -> ConvergenceReport:
     """Perturb exact data along a fixed direction and track solution error.
 
-    For each delta the data is A x_true + delta * u with a fixed unit vector
-    u, alpha = alpha_rule(delta) (identity by default), and the row records
-    the l^1 distance of the minimizer from x_true together with its dominant
-    support index.
+    For each delta the data is A x_true + delta * u with a unit vector u
+    drawn once from a standard normal seeded by ``seed``, alpha =
+    alpha_rule(delta) (identity by default), and the row records the l^1
+    distance of the minimizer from x_true together with its dominant support
+    index.
     """
     x_true = np.asarray(x_true, dtype=float)
     if x_true.shape != (op.n_cols,):
@@ -496,12 +502,7 @@ def convergence_experiment(
         raise ValueError("delta schedule is empty")
     if alpha_rule is None:
         alpha_rule = lambda d: d
-    if noise_direction is None:
-        u = np.random.default_rng(seed).standard_normal(op.n_rows)
-    else:
-        u = np.asarray(noise_direction, dtype=float)
-        if u.shape != (op.n_rows,):
-            raise ValueError(f"noise direction must have length {op.n_rows}")
+    u = np.random.default_rng(seed).standard_normal(op.n_rows)
     u = u / np.linalg.norm(u)
     y_exact = op.entries @ x_true
     rows: list[ConvergenceRow] = []
@@ -510,7 +511,7 @@ def convergence_experiment(
             raise ValueError("deltas must be nonnegative")
         alpha = float(alpha_rule(delta))
         data = y_exact + delta * u
-        cert = solve(TikhonovProblem(op, data, alpha), tol=tol, max_iter=max_iter)
+        cert = solve(TikhonovProblem(op, data, alpha), tol=tol)
         dominant = int(np.argmax(np.abs(cert.x))) + 1
         rows.append(
             ConvergenceRow(

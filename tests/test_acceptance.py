@@ -253,9 +253,7 @@ def test_criterion_8_convergence_and_failure_mode(directions):
     b = ip.mazur(directions, 800, 3)
     x_true_b = np.zeros(800)
     x_true_b[0] = 1.0
-    report_b = ip.convergence_experiment(
-        b, x_true_b, deltas, tol=1e-8, max_iter=60000
-    )
+    report_b = ip.convergence_experiment(b, x_true_b, deltas, tol=1e-8)
     assert report_b.guaranteed is False
     supports = [r.support_index for r in report_b.rows]
     assert len(set(supports)) > 1

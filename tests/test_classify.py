@@ -1,6 +1,5 @@
 import importlib
 import itertools
-import json
 from dataclasses import replace
 
 import pytest
@@ -9,7 +8,6 @@ from illposed.classify import (
     Verdict,
     build_catalog_operator,
     catalog,
-    catalog_report_json,
     check_consistency,
     classify,
 )
@@ -182,11 +180,3 @@ def test_names_without_directions_never_enumerate(monkeypatch, label):
     module = importlib.import_module("illposed.classify")
     monkeypatch.setattr(module, "enumerate_directions", fail)
     assert build_catalog_operator(label, depth=50).n_cols in (50, 100)
-
-
-def test_catalog_report_json():
-    rows = json.loads(catalog_report_json())
-    assert len(rows) == 10
-    for row in rows:
-        assert row["verdict"] == row["expected_verdict"]
-        assert row["violations"] == []

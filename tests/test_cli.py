@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shlex
@@ -13,6 +14,8 @@ from illposed.directions import (
     directions_from_json,
     enumerate_directions,
 )
+from illposed.probes import ProbeReport
+from illposed.reports import json_report
 
 
 def run(tmp_path, *argv, name="out.txt"):
@@ -145,6 +148,44 @@ def test_probe_rejects_non_finite_functional(tmp_path, capsys, eta):
     assert "eta must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_probe_pairings_that_overflow_exit_2(tmp_path, capsys, fmt):
+    code, text = run(tmp_path, "probe", "--operator", "B", "--eta", "1.7e308,1.7e308",
+                     "--n", "20", "--format", fmt)
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: pairings overflow") and err.count("\n") == 1
+
+
+def test_json_writers_reject_non_finite_values():
+    with pytest.raises(ValueError):
+        json_report(["x"], [[float("nan")]])
+    report = ProbeReport("B", np.ones(1), np.array([1.0, np.inf]), 0.5)
+    with pytest.raises(ValueError):
+        report.summary_json()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["collapse", "--alpha", "nan", "--depths", "50"],
+        ["verify-theorem", "--multipliers", "nan", "--depth", "50", "--indices", "1"],
+        ["verify-theorem", "--alpha", "inf", "--depth", "50", "--indices", "1"],
+        ["convergence", "--deltas", "nan"],
+        ["convergence", "--deltas", "1e308", "--alpha-factor", "10"],
+        ["convergence", "--alpha-factor", "nan"],
+        ["collapse", "--y", "nan,1", "--depths", "50"],
+        ["collapse", "--y", "1,inf", "--depths", "50"],
+    ],
+)
+def test_non_finite_alpha_or_data_exits_2(tmp_path, capsys, argv):
+    code, text = run(tmp_path, *argv)
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "0", "-1"])
 @pytest.mark.parametrize(
     "argv",
@@ -232,7 +273,27 @@ def test_classify_flags(tmp_path):
         "--flags", "range_closed=true,nullspace_complemented=true",
     )
     assert code == 0
-    assert json.loads(text)["verdict"] == "WellPosed"
+    assert text.split("\n") == [
+        "# rationale=range closed and null-space complemented: well-posed",
+        "verdict,hybrid,violations",
+        "WellPosed,false,",
+        "",
+    ]
+    code, text = run(
+        tmp_path, "classify", "--format", "json", "--flags",
+        "range_closed=false,range_has_closed_infdim_subspace=true,"
+        "strictly_singular=true,compact=true,nullspace_complemented=true",
+    )
+    assert code == 0
+    report = json.loads(text)
+    assert report["rows"] == [
+        {"verdict": "IllPosedTypeI", "hybrid": True, "violations": "R1"}
+    ]
+    assert report["meta"]["rationale"] == "; ".join([
+        "range not closed: ill-posed",
+        "range contains a closed infinite-dimensional subspace: type I",
+        "strictly singular with such a subspace: hybrid case (type I)",
+    ])
     code, _ = run(tmp_path, "classify", "--flags", "bogus=true")
     assert code == 2
 
@@ -380,3 +441,29 @@ def test_reports_are_deterministic(tmp_path):
             code_b, second = run(tmp_path, *args, "--format", fmt, name="b.txt")
             assert code_a == code_b == 0, args
             assert first and first == second, args
+
+
+# README outputs made of integers and strings only, so no BLAS or CPU
+# difference can move their bytes; outputs with computed floats stay out
+README_DIGESTS = {
+    ("enumerate --q 2 --support 2 --entry 1", "csv"):
+        "3c005f9f9e69a31bd85aa42038cc5009eef802a5031c9a0a12074967e41844a4",
+    ("enumerate --q 2 --support 2 --entry 1", "json"):
+        "2c1e717f2686e6155a56419fa1c3f3e9a45aac1c3d4bbdbe7c1ad1352d442bf7",
+    ("classify --catalog", "csv"):
+        "f180f7070f6a491462a6b24757692b7962bf6f355fac0c3c13f7cb3569c6603f",
+    ("classify --catalog", "json"):
+        "840f1dfd187418060b9fafde9218dab6f7bfc92eeac1e3dc25c2b2fc88191a47",
+    ("classify --flags range_closed=true,nullspace_complemented=false", "csv"):
+        "708509ca2ab5f22faf885fcf00ff8b1a1ceac93702de4c0f43c0e25cfe858b4a",
+    ("classify --flags range_closed=true,nullspace_complemented=false", "json"):
+        "731e719135a5be25bd8a0de090c5c09abb57da71a5ce2736b191cd9488f96f82",
+}
+
+
+@pytest.mark.parametrize("command, fmt", list(README_DIGESTS))
+def test_readme_outputs_without_computed_floats_match_their_digest(tmp_path, command, fmt):
+    assert shlex.split(command) in _readme_commands()
+    code, text = run(tmp_path, *shlex.split(command), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == README_DIGESTS[command, fmt]
