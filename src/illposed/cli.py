@@ -287,15 +287,19 @@ def _parse_flags(spec: str) -> OperatorAttributes:
         key, _, raw = part.partition("=")
         key = key.strip()
         if key not in known:
-            raise ValueError(f"unknown attribute flag {key!r}")
+            raise ValueError(f"--flags names unknown attribute {key!r}")
         if raw not in mapping:
-            raise ValueError(f"flag value {raw!r} must be true, false, or unknown")
+            raise ValueError(f"--flags value {raw!r} must be true, false, or unknown")
         values[key] = mapping[raw]
+    if not values:
+        raise ValueError("--flags names no attribute")
     return OperatorAttributes(**values)
 
 
 def cmd_classify(args) -> int:
-    if args.flags:
+    if args.catalog and args.flags is not None:
+        raise ValueError("--catalog and --flags are mutually exclusive")
+    if args.flags is not None:
         attrs = _parse_flags(args.flags)
         result = classify(attrs)
         rules = ";".join(v.rule for v in check_consistency(attrs))
@@ -329,7 +333,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    deltas = _float_list(args.deltas)
+    deltas = _nonempty(_float_list(args.deltas), "--deltas")
+    if not all(math.isfinite(d) and d > 0.0 for d in deltas):
+        raise ValueError("--deltas must be positive finite numbers")
     directions = _directions(args)
     # the Tikhonov problem needs an l^1 domain, so diag is built on l^1 here
     op = build_operator(args.operator, args.n, directions, domain_exponent=1.0)

@@ -11,18 +11,20 @@ An enumeration is stored by columns in a ``DirectionSet``: an int64 canon
 matrix, a support vector, a read-only realized matrix and a 1-based antipode
 array, each shell computed as one numpy block.  Negation maps a shell onto
 itself and reverses descending lexicographic order, so the antipode of the
-i-th of a shell's N vectors is its (N-1-i)-th, with no search.  The
-``RationalDirection`` items of a set read their ``realized`` as row views of
-the shared matrix.
+i-th of a shell's N vectors is its (N-1-i)-th, with no search.  The set
+holds no ``RationalDirection`` items until they are used: indexing builds
+one from its row, iteration builds them in order, and each reads its
+``realized`` as a row view of the shared matrix.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -128,14 +130,21 @@ class DirectionSet(Sequence):
     Indexing, slicing and iteration behave as on a list of
     ``RationalDirection``; a prefix slice shares the arrays.  Build one with
     ``enumerate_directions`` or ``DirectionSet.of``.
+
+    Items are built from the rows on demand.  Iteration appends the items
+    not yet built to ``_table``, in order (``_table[i]`` is item i), and a
+    prefix slice shares that table with its parent, so iterating any number
+    of prefixes builds each item once.  An integer index past the table
+    builds the one item without storing it.  ``DirectionSet.of`` starts with
+    the table full: the items it was given, with their own indices.
     """
 
-    _items: list[RationalDirection]
     canon: np.ndarray
     support: np.ndarray
     realized: np.ndarray
     antipodes: np.ndarray
     q: float
+    _table: list[RationalDirection] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         for name in ("canon", "support", "realized", "antipodes"):
@@ -160,30 +169,57 @@ class DirectionSet(Sequence):
         )
         support = np.array([d.support for d in items], dtype=np.int64)
         q = items[0].q if items else 2.0
-        return cls(items, canon, support, realized, antipodes, q)
+        return cls(canon, support, realized, antipodes, q, items)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.support)
+
+    def _build(self, stop: int) -> None:
+        # Appends the items of rows len(_table) .. stop - 1 to the table, one
+        # bulk pass per run of equal support: allocate the run's items, then
+        # set each slot across the run (deque(..., 0) only drains the map).
+        start = len(self._table)
+        if start >= stop:
+            return
+        set_canon, set_index, set_q, set_realized = _SETTERS
+        cuts = (np.flatnonzero(np.diff(self.support[start:stop])) + start + 1).tolist()
+        for lo, hi in zip([start, *cuts], [*cuts, stop]):
+            width = int(self.support[lo])
+            items = list(map(_new_direction, repeat(RationalDirection, hi - lo)))
+            canons = zip(*[column.tolist() for column in self.canon[lo:hi, :width].T])
+            deque(map(set_canon, items, canons), 0)
+            deque(map(set_index, items, range(lo + 1, hi + 1)), 0)
+            deque(map(set_q, items, repeat(self.q)), 0)
+            deque(map(set_realized, items, self.realized[lo:hi, :width]), 0)
+            self._table.extend(items)
 
     def __iter__(self):
-        return iter(self._items)
+        n = len(self)
+        self._build(n)
+        return islice(self._table, n)
 
     def __getitem__(self, key):
+        n = len(self)
         if not isinstance(key, slice):
-            return self._items[key]
-        start, stop, step = key.indices(len(self))
+            row = range(n)[key]
+            if row < len(self._table):
+                return self._table[row]
+            width = int(self.support[row])
+            canon = tuple(self.canon[row, :width].tolist())
+            return _trusted_direction(canon, row + 1, self.q, self.realized[row, :width])
+        start, stop, step = key.indices(n)
         if start != 0 or step != 1:
-            return DirectionSet.of(self._items[key])
-        if stop == len(self):
+            return DirectionSet.of([self[i] for i in range(start, stop, step)])
+        if stop == n:
             return self
         antipodes = self.antipodes[:stop]
         return DirectionSet(
-            self._items[:stop],
             self.canon[:stop],
             self.support[:stop],
             self.realized[:stop],
             np.where(antipodes <= stop, antipodes, 0),
             self.q,
+            self._table,
         )
 
 
@@ -255,18 +291,7 @@ def enumerate_directions(params: EnumerationParams) -> DirectionSet:
         _unit_rows(block, powers, params.q, realized[start:end, :width])
         antipodes[start:end] = np.arange(end, start, -1)  # the shell's mirror
         start = end
-    realized.flags.writeable = False
-    items: list[RationalDirection] = []
-    start = 0
-    for block in shells:
-        end = start + len(block)
-        width = block.shape[1]
-        canons = zip(*[column.tolist() for column in block.T])
-        rows = list(realized[start:end, :width])
-        indices = range(start + 1, end + 1)
-        items.extend(map(_trusted_direction, canons, indices, repeat(params.q), rows))
-        start = end
-    return DirectionSet(items, canon, support, realized, antipodes, params.q)
+    return DirectionSet(canon, support, realized, antipodes, params.q)
 
 
 def realized_matrix(directions: Sequence[RationalDirection], n_rows: int) -> np.ndarray:

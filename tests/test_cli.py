@@ -106,6 +106,30 @@ def test_collapse_small_schedule(tmp_path):
     assert float(rows[1][3]) >= float(rows[0][3])
 
 
+DEEP_COLLAPSE = (
+    "collapse --y random4 --alpha 0.1 --support 5 --entry 6 "
+    "--depths 100,1000,10000,100000,351362"
+)
+
+
+def test_deep_collapse_readme_command_collapses(tmp_path):
+    # the whole support-5/entry-6 prefix; computed floats, so no digest
+    argv = shlex.split(DEEP_COLLAPSE)
+    assert argv in _readme_commands()
+    code, text = run(tmp_path, *argv)
+    assert code == 0
+    lines = text.strip().split("\n")
+    header = lines[2].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[3:]]
+    assert [int(r["depth"]) for r in rows] == [100, 1000, 10000, 100000, 351362]
+    assert all(r["converged"] == "true" for r in rows)
+    for j in (1, 2, 3):
+        coords = [abs(float(r[f"coord_{j}"])) for r in rows]
+        assert all(b <= a for a, b in zip(coords, coords[1:])) and coords[-1] == 0.0
+    assert float(rows[-1]["best_correlation"]) > 0.998
+    assert abs(float(rows[-1]["l1_norm"]) - (1.0 - 0.1)) < 0.01  # ||y|| - alpha
+
+
 def test_collapse_rejects_direction_data(tmp_path):
     code, _ = run(tmp_path, "collapse", "--y", "1,0,0", "--depths", "50")
     assert code == 2
@@ -296,6 +320,33 @@ def test_classify_flags(tmp_path):
     ])
     code, _ = run(tmp_path, "classify", "--flags", "bogus=true")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--flags="],
+        ["classify", "--flags", ","],
+        ["classify", "--flags", "bogus=true"],
+        ["classify", "--flags", "compact=maybe"],
+        ["classify", "--catalog", "--flags", "range_closed=true"],
+        ["classify", "--flags", "range_closed=true", "--catalog"],
+    ],
+)
+def test_classify_flags_that_name_no_attribute_or_clash_exit_2(tmp_path, capsys, argv):
+    code, text = run(tmp_path, *argv)
+    assert code == 2
+    assert text == ""
+    assert "--flags" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("deltas", ["nan", "inf", "-inf", "0", "-1e-3", "1e-1,0", ""])
+def test_convergence_rejects_deltas_up_front(tmp_path, capsys, deltas):
+    code, text = run(tmp_path, "convergence", f"--deltas={deltas}")
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: --deltas") and "alpha" not in err
 
 
 def test_convergence_diag(tmp_path):

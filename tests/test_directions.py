@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from illposed.directions import (
@@ -368,3 +368,59 @@ def test_json_round_trip_list_gives_the_same_results():
                 closed_form_minimizer(back, k, 1.0, 0.3, gamma),
                 closed_form_minimizer(dirs, k, 1.0, 0.3, gamma),
             )
+
+
+# Items built on demand from the columns: by index, by iteration and through
+# prefix slices, each must be the validating constructor's item, bit for bit.
+
+
+def _assert_constructed(d, row, q):
+    expected = RationalDirection(d.canon, row + 1, q)
+    assert d == expected and d.index == expected.index and d.q == expected.q
+    assert all(type(c) is int for c in d.canon)
+    assert np.array_equal(d.realized, expected.realized)
+    assert not d.realized.flags.writeable
+
+
+def _assert_on_demand_items(q, bounds, n):
+    params = EnumerationParams(q, *bounds)
+    expected = _oracle_enumeration(params)
+    n = min(n, len(expected))
+    indexed = enumerate_directions(params)
+    for row in (0, n - 1, len(expected) - 1, -1):
+        d = indexed[row]
+        assert d.canon == expected[row].canon
+        _assert_constructed(d, row % len(expected), q)
+    full = enumerate_directions(params)
+    prefix = full[:n]
+    for row, d in enumerate(prefix):
+        assert d.canon == expected[row].canon
+        _assert_constructed(d, row, q)
+    assert all(prefix[i] is full[i] for i in range(n))  # built once, shared
+    for row, d in enumerate(full):
+        assert d.canon == expected[row].canon
+        _assert_constructed(d, row, q)
+    assert all(a is b for a, b in zip(prefix, full))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1.5, 2.0, 3.0]),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=800),
+)
+@example(1.5, 3, 4, 100)
+@example(2.0, 3, 4, 100)
+@example(3.0, 3, 4, 100)
+def test_items_built_on_demand_match_the_constructor(q, support, entry, n):
+    _assert_on_demand_items(q, (support, entry), n)
+
+
+def test_indexed_item_out_of_range_raises_index_error():
+    dirs = enumerate_directions(EnumerationParams(2.0, 2, 2))
+    with pytest.raises(IndexError):
+        dirs[len(dirs)]
+    with pytest.raises(IndexError):
+        dirs[:3][3]
+    assert dirs[:3][-1] == dirs[2]
