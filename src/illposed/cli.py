@@ -13,8 +13,8 @@ Examples
 Every command writes a CSV report (JSON mirror via --format json) that is
 byte-identical across reruns with the same configuration; classify --flags
 writes one verdict,hybrid,violations row, its rationale in a "# rationale="
-line (in "meta" for JSON).  Exit codes: 0 success, 2 invalid input, 3 flagged
-numerical rows.
+line (in "meta" for JSON).  Exit codes: 0 success, 2 invalid input (an
+array too large to allocate included), 3 flagged numerical rows.
 """
 
 from __future__ import annotations
@@ -94,6 +94,12 @@ def _int_list(text: str) -> list[int]:
 
 def _float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part]
+
+
+def _positive(value: float, option: str) -> float:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{option} must be a positive finite number")
+    return value
 
 
 def _nonempty(values: list, option: str) -> list:
@@ -202,6 +208,12 @@ def _theorem_case(directions, op, k, lam, alpha, tol, gammas):
 
 
 def cmd_verify_theorem(args) -> int:
+    _positive(args.tol_residual, "--tol-residual")
+    # a negative --tol-match is allowed: it flags every row on purpose
+    if not math.isfinite(args.tol_match):
+        raise ValueError("--tol-match must be a finite number")
+    if args.gammas < 0:
+        raise ValueError("--gammas must be >= 0")
     directions = _directions(args)()
     if not 1 <= args.depth <= len(directions):
         raise ValueError(f"--depth must lie in 1..{len(directions)}")
@@ -242,6 +254,7 @@ def cmd_verify_theorem(args) -> int:
 
 
 def cmd_collapse(args) -> int:
+    _positive(args.tol, "--tol")
     directions = _directions(args)
     depths = _int_list(args.depths)
     y = _parse_vector(args.y, 0, directions, args.seed)
@@ -259,8 +272,7 @@ def cmd_collapse(args) -> int:
 def cmd_probe(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be at least 1")
-    if not (math.isfinite(args.threshold) and args.threshold > 0.0):
-        raise ValueError("--threshold must be a positive finite number")
+    _positive(args.threshold, "--threshold")
     directions = _directions(args)
     if args.compose:
         base = build_operator("B", args.n, directions)
@@ -333,6 +345,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_convergence(args) -> int:
+    _positive(args.tol, "--tol")
     deltas = _nonempty(_float_list(args.deltas), "--deltas")
     if not all(math.isfinite(d) and d > 0.0 for d in deltas):
         raise ValueError("--deltas must be positive finite numbers")
@@ -497,6 +510,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

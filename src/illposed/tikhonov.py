@@ -52,12 +52,23 @@ __all__ = [
 SUPPORT_EPS = 1e-12
 
 
+def _check_data(y: np.ndarray) -> None:
+    """Reject data that is not finite or whose objective at x = 0 overflows."""
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite")
+    with np.errstate(over="ignore"):
+        half_square = 0.5 * float(y @ y)
+    if not math.isfinite(half_square):
+        raise ValueError("y is too large: 0.5*||y||_2^2 overflows")
+
+
 @dataclass(frozen=True)
 class TikhonovProblem:
     """Operator truncation with l^1 domain, finite l^2 data, and finite alpha > 0.
 
     A non-finite alpha or data entry can read as a zero optimality residual
-    and certify the starting point x = 0, so both are rejected here.
+    and certify the starting point x = 0, so both are rejected here, as is
+    data whose objective at x = 0 is already infinite.
     """
 
     operator: TruncatedOperator
@@ -78,8 +89,7 @@ class TikhonovProblem:
         y = np.asarray(self.y, dtype=float)
         if y.shape != (op.n_rows,):
             raise ValueError(f"y must have length {op.n_rows}, got {y.shape}")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("y must be finite")
+        _check_data(y)
         y = y.copy()
         y.flags.writeable = False
         object.__setattr__(self, "y", y)
@@ -124,13 +134,25 @@ def objective(problem: TikhonovProblem, x: np.ndarray) -> float:
 
 
 def _kkt_residual(corr: np.ndarray, x: np.ndarray, alpha: float) -> float:
-    g = corr / alpha
-    nz = x != 0.0
+    """max_j of |corr_j/alpha - sign x_j| on the support and |corr_j/alpha| - 1 off it.
+
+    Only the support (x_j != 0, so -0.0 is off it) is gathered.  The second
+    term is taken over every j: on the support |g| - 1 <= |g - sign x_j|,
+    also after rounding, so those j never raise the maximum.  The largest
+    |corr_j| is divided by alpha once: dividing by alpha > 0 is monotone, so
+    this is the largest |corr_j/alpha| to the bit.  A NaN in corr makes the
+    residual NaN, which no tolerance accepts.
+    """
+    on = (x != 0.0).nonzero()[0]
     res = 0.0
-    if nz.any():
-        res = float(np.max(np.abs(g[nz] - np.sign(x[nz]))))
-    if (~nz).any():
-        res = max(res, max(0.0, float(np.max(np.abs(g[~nz]))) - 1.0))
+    if on.size:
+        g = corr[on]
+        g /= alpha
+        g -= np.sign(x[on])
+        res = float(np.abs(g, out=g).max())
+    excess = float(np.abs(corr).max(initial=0.0)) / alpha - 1.0
+    if excess > res or math.isnan(excess):
+        res = excess
     return res
 
 
@@ -198,8 +220,8 @@ def solve(
     violated constraint is already active, so that only rounding keeps the
     residual above tol; both are flagged on the certificate, not raised.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be a positive finite number")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     a = problem.operator.entries
@@ -212,7 +234,8 @@ def solve(
     steps = 0
     converged = False
     while True:
-        corr = a.T @ (y - a @ x)
+        misfit = y - a @ x
+        corr = a.T @ misfit
         residual = _kkt_residual(corr, x, alpha)
         if residual <= tol:
             converged = True
@@ -258,7 +281,9 @@ def solve(
     support = tuple(int(j) + 1 for j in np.nonzero(np.abs(x) > SUPPORT_EPS)[0])
     return MinimizerCertificate(
         x=x,
-        objective=objective(problem, x),
+        # the objective at x, from the misfit of the last check: y - Ax is
+        # exactly -(Ax - y), so this equals objective(problem, x) to the bit
+        objective=0.5 * float(misfit @ misfit) + alpha * float(np.abs(x).sum()),
         residual=residual,
         iterations=steps,
         support=support,
@@ -399,8 +424,7 @@ def collapse_experiment(
     direction and must satisfy ||y||_2 > alpha.
     """
     y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y must be finite")
+    _check_data(y)
     norm_y = float(np.linalg.norm(y))
     if norm_y <= alpha:
         raise ValueError("collapse experiment needs ||y||_2 > alpha")

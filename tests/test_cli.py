@@ -222,6 +222,63 @@ def test_probe_rejects_threshold_that_decides_every_verdict(tmp_path, capsys, ar
     assert "--threshold" in capsys.readouterr().err
 
 
+SMALL_GRID = ["verify-theorem", "--depth", "50", "--indices", "1", "--multipliers", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        # an infinite tol certified x = 0 on every row, a NaN one flagged every row
+        (["collapse", "--depths", "50", "--tol", "inf"], "--tol"),
+        (["collapse", "--depths", "50", "--tol", "nan"], "--tol"),
+        (["collapse", "--depths", "50", "--tol", "0"], "--tol"),
+        (["convergence", "--n", "5", "--tol", "nan"], "--tol"),
+        (["convergence", "--n", "5", "--tol", "inf"], "--tol"),
+        ([*SMALL_GRID, "--tol-residual", "nan"], "--tol-residual"),
+        ([*SMALL_GRID, "--tol-residual", "inf"], "--tol-residual"),
+        ([*SMALL_GRID, "--tol-residual=-1"], "--tol-residual"),
+        # a NaN --tol-match passed every deviation
+        ([*SMALL_GRID, "--tol-match", "nan"], "--tol-match"),
+        ([*SMALL_GRID, "--tol-match", "inf"], "--tol-match"),
+        ([*SMALL_GRID, "--gammas=-1"], "--gammas"),
+    ],
+)
+def test_tolerances_must_be_finite(tmp_path, capsys, argv, option):
+    code, text = run(tmp_path, *argv)
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 0.5*||y||^2 overflows: best_correlation 0 and converged=true before
+        ["collapse", "--y", "1e200,3e200,2e200", "--alpha", "1e199", "--depths", "50"],
+        # lambda = 2e200: gamma_spread nan in CSV before
+        ["verify-theorem", "--alpha", "1e200", "--multipliers", "2", "--indices", "17",
+         "--depth", "50"],
+    ],
+)
+def test_data_whose_objective_overflows_exits_2(tmp_path, capsys, argv, fmt):
+    code, text = run(tmp_path, *argv, "--format", fmt)
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err == "error: y is too large: 0.5*||y||_2^2 overflows\n"
+
+
+def test_allocation_failure_exits_2(tmp_path, capsys):
+    # np.eye(10^8) asks for 71 PiB, so the allocation fails at once
+    code, text = run(tmp_path, "growth", "--operator", "E2p", "--sizes", "100000000")
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [

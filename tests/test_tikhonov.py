@@ -14,6 +14,7 @@ from illposed.operators import (
 )
 from illposed.tikhonov import (
     TikhonovProblem,
+    _kkt_residual,
     closed_form_minimizer,
     collapse_experiment,
     convergence_experiment,
@@ -238,6 +239,116 @@ def test_step_budget_is_reported_not_raised():
     assert not cert.converged and cert.iterations == 3
     assert cert.residual == pytest.approx(optimality_residual(problem, cert.x))
     assert solve(problem).iterations > 3
+
+
+def mask_kkt_residual(corr, x, alpha):
+    """The boolean-mask form of the optimality residual, kept as the reference."""
+    g = corr / alpha
+    nz = x != 0.0
+    res = 0.0
+    if nz.any():
+        res = float(np.max(np.abs(g[nz] - np.sign(x[nz]))))
+    if (~nz).any():
+        res = max(res, max(0.0, float(np.max(np.abs(g[~nz]))) - 1.0))
+    return res
+
+
+@st.composite
+def kkt_cases(draw):
+    """x with any support size from none to dense, -0.0 entries off it, and a
+    correlation that is free, exactly optimal (a spike) or optimal plus noise."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    alpha = 10.0 ** draw(st.floats(min_value=-8.0, max_value=1.0))
+    size = draw(st.integers(min_value=0, max_value=n))
+    on = draw(st.permutations(range(n)))[:size]
+    x = np.array(draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n)))
+    magnitude = st.floats(min_value=1e-6, max_value=1e3)
+    x[on] = [draw(magnitude) * draw(st.sampled_from([1.0, -1.0])) for _ in on]
+    unit = st.floats(min_value=-1.0, max_value=1.0)
+    kind = draw(st.sampled_from(["free", "spike", "noisy spike"]))
+    if kind == "free":
+        corr = alpha * np.array(draw(st.lists(
+            st.floats(min_value=-3.0, max_value=3.0), min_size=n, max_size=n)))
+    else:
+        corr = alpha * np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+        corr[on] = alpha * np.sign(x[on])
+        if kind == "noisy spike":
+            scale = 10.0 ** draw(st.floats(min_value=-16.0, max_value=-2.0))
+            noise = draw(st.lists(unit, min_size=n, max_size=n))
+            corr = corr + alpha * scale * np.array(noise)
+    return corr, x, alpha
+
+
+@settings(max_examples=400, deadline=None)
+@given(kkt_cases())
+def test_kkt_residual_equals_the_mask_formula_to_the_bit(case):
+    corr, x, alpha = case
+    got = np.float64(_kkt_residual(corr, x, alpha)).tobytes()
+    assert got == np.float64(mask_kkt_residual(corr, x, alpha)).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["off", "on", "off-negative-zero"])
+def test_non_finite_correlation_never_certifies(bad, index):
+    x = np.array([0.0, 0.5, -0.0, -1.5])  # support {1, 3}
+    corr = np.array([0.1, 0.3, -0.2, -0.3])
+    assert _kkt_residual(corr, x, 0.3) == 0.0
+    corr[index] = bad
+    residual = _kkt_residual(corr, x, 0.3)
+    # an off-support NaN was once dropped by max(0.0, nan), certifying x
+    for tol in (1e-12, 1.0, 1e300):
+        assert not residual <= tol
+
+
+GRID_INDICES = (1, 5, 17, 60, 150, 1000, 2017, 4034)
+GRID_MULTIPLIERS = (-10.0, -2.0, -0.5, 0.5, 2.0, 10.0)
+
+
+def test_grid_certificates_equal_the_recomputed_values(master_directions):
+    op = mazur(master_directions, len(master_directions), 3)
+    for k in GRID_INDICES:
+        for m in GRID_MULTIPLIERS:
+            problem = problem_for(op, master_directions, k, m * ALPHA)
+            cert = solve(problem, tol=1e-12, max_iter=50000)
+            assert cert.objective == objective(problem, cert.x)
+            assert cert.residual == optimality_residual(problem, cert.x)
+
+
+@pytest.mark.parametrize(
+    "seed, size, bounds, depths",
+    [
+        (42, 3, (3, 8), (50, 200, 800, 3200)),
+        (4, 3, (3, 8), (400, 800, 4034)),
+        (1, 4, (4, 6), (50, 400, 3200, 6400)),
+    ],
+)
+def test_collapse_certificates_equal_the_recomputed_values(seed, size, bounds, depths):
+    directions = enumerate_directions(EnumerationParams(2.0, *bounds))
+    y = np.random.default_rng(seed).standard_normal(size)
+    y /= np.linalg.norm(y)
+    for depth in depths:
+        n_rows = max(size, int(directions.support[:depth].max()))
+        data = np.zeros(n_rows)
+        data[:size] = y
+        problem = TikhonovProblem(mazur(directions, depth, n_rows), data, 0.1)
+        cert = solve(problem)
+        assert cert.objective == objective(problem, cert.x)
+        assert cert.residual == optimality_residual(problem, cert.x)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_solve_rejects_a_tolerance_that_is_not_positive_and_finite(b200, tol):
+    problem = TikhonovProblem(b200, np.array([1.0, 0.5, 0.2]), 0.1)
+    with pytest.raises(ValueError, match="tol must be a positive finite number"):
+        solve(problem, tol=tol)
+
+
+@pytest.mark.parametrize("y", [[1e200, 3e200, 2e200], [1e154, 1e154, 0.0]])
+def test_data_whose_objective_overflows_is_rejected(b200, master_directions, y):
+    with pytest.raises(ValueError, match="overflows"):
+        TikhonovProblem(b200, np.array(y), 1e199)
+    with pytest.raises(ValueError, match="overflows"):
+        collapse_experiment(master_directions, np.array(y), 1e199, [50])
 
 
 depths = st.integers(min_value=1, max_value=400)
