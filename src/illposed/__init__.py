@@ -19,7 +19,6 @@ from .directions import (
     EnumerationParams,
     RationalDirection,
     coverage,
-    directions_from_json,
     directions_to_json,
     enumerate_directions,
 )

@@ -16,15 +16,10 @@ from __future__ import annotations
 
 import enum
 import functools
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .directions import (
-    DirectionSet,
-    EnumerationParams,
-    RationalDirection,
-    enumerate_directions,
-)
+from .directions import DirectionSet, EnumerationParams, enumerate_directions
 from .operators import (
     OperatorAttributes,
     TruncatedOperator,
@@ -342,13 +337,13 @@ def harmonic(k: int) -> float:
     return 1.0 / k
 
 
-Directions = Callable[[], Sequence[RationalDirection]]
+Directions = Callable[[], DirectionSet]
 _diag = functools.partial(diagonal, harmonic)
 _embed = functools.partial(embedding, 2.0, 4.0)
 
 
 def _mazur(n: int, directions: Directions) -> TruncatedOperator:
-    dirs = DirectionSet.of(directions())
+    dirs = directions()
     # rows follow the prefix's support; mazur() rejects n outside the enumeration
     return mazur(dirs, n, int(dirs.support[:n].max(initial=1)))
 

@@ -357,7 +357,7 @@ def cmd_convergence(args) -> int:
         op,
         x_true,
         deltas,
-        alpha_rule=lambda d: args.alpha_factor * d,
+        alpha_factor=args.alpha_factor,
         seed=args.seed,
         tol=args.tol,
     )
@@ -383,7 +383,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--config", default=None, help="JSON config file; flags win")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.set_defaults(parser=parser)
 
 
@@ -422,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depths", default="50,200,800,3200")
     p.add_argument("--probes", default="1,2,3")
     p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of random draws")
     _add_enum_bounds(p)
     _add_common(p)
     p.set_defaults(func=cmd_collapse)
@@ -436,6 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="probe NAME o B, with NAME (as for --operator) built at B's row count",
     )
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of random draws")
     _add_enum_bounds(p)
     _add_common(p)
     p.set_defaults(func=cmd_probe)
@@ -457,6 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deltas", default="1e-1,1e-2,1e-3,1e-4,1e-5")
     p.add_argument("--alpha-factor", dest="alpha_factor", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of random draws")
     _add_enum_bounds(p)
     _add_common(p)
     p.set_defaults(func=cmd_convergence)

@@ -35,7 +35,6 @@ __all__ = [
     "enumerate_directions",
     "coverage",
     "directions_to_json",
-    "directions_from_json",
 ]
 
 
@@ -99,19 +98,6 @@ _SETTERS = tuple(
 )
 
 
-def _trusted_direction(
-    canon: tuple[int, ...], index: int, q: float, realized: np.ndarray
-) -> RationalDirection:
-    # fields already validated block-wise by the enumeration; skips __post_init__
-    d = _new_direction(RationalDirection)
-    set_canon, set_index, set_q, set_realized = _SETTERS
-    set_canon(d, canon)
-    set_index(d, index)
-    set_q(d, q)
-    set_realized(d, realized)
-    return d
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     # the owner of the data could switch the flag back; a view of it cannot
@@ -127,16 +113,15 @@ class DirectionSet(Sequence):
     ``support`` the support vector, ``realized`` the zero-padded unit
     realization, and ``antipodes`` the 1-based position of the opposite
     direction within the set, 0 when it is absent.  All four are read-only.
-    Indexing, slicing and iteration behave as on a list of
-    ``RationalDirection``; a prefix slice shares the arrays.  Build one with
-    ``enumerate_directions`` or ``DirectionSet.of``.
+    Indexing and iteration behave as on a list of ``RationalDirection``.
+    The only slices are prefixes ``dirs[:n]``, which share the arrays; any
+    other slice raises ValueError.  ``enumerate_directions`` builds one.
 
     Items are built from the rows on demand.  Iteration appends the items
     not yet built to ``_table``, in order (``_table[i]`` is item i), and a
     prefix slice shares that table with its parent, so iterating any number
     of prefixes builds each item once.  An integer index past the table
-    builds the one item without storing it.  ``DirectionSet.of`` starts with
-    the table full: the items it was given, with their own indices.
+    builds the one item without storing it.
     """
 
     canon: np.ndarray
@@ -150,39 +135,17 @@ class DirectionSet(Sequence):
         for name in ("canon", "support", "realized", "antipodes"):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
 
-    @classmethod
-    def of(cls, directions: Sequence[RationalDirection]) -> DirectionSet:
-        """The set holding ``directions`` in order; a DirectionSet is returned as is."""
-        if isinstance(directions, DirectionSet):
-            return directions
-        items = list(directions)
-        width = max((d.support for d in items), default=0)
-        canon = np.zeros((len(items), width), dtype=np.int64)
-        realized = np.zeros((len(items), width))
-        position: dict[tuple[int, ...], int] = {}
-        for i, d in enumerate(items):
-            canon[i, : d.support] = d.canon
-            realized[i, : d.support] = d.realized
-            position.setdefault(d.canon, i + 1)
-        antipodes = np.array(
-            [position.get(d.antipode_canon(), 0) for d in items], dtype=np.int64
-        )
-        support = np.array([d.support for d in items], dtype=np.int64)
-        q = items[0].q if items else 2.0
-        return cls(canon, support, realized, antipodes, q, items)
-
     def __len__(self) -> int:
         return len(self.support)
 
-    def _build(self, stop: int) -> None:
-        # Appends the items of rows len(_table) .. stop - 1 to the table, one
-        # bulk pass per run of equal support: allocate the run's items, then
-        # set each slot across the run (deque(..., 0) only drains the map).
-        start = len(self._table)
-        if start >= stop:
-            return
+    def _items(self, start: int, stop: int) -> list[RationalDirection]:
+        # The items of rows start .. stop - 1 (start < stop), one bulk pass per
+        # run of equal support: allocate the run's items, then set each slot
+        # across the run (deque(..., 0) only drains the map).  The enumeration
+        # validated the fields block-wise, so __post_init__ is skipped.
         set_canon, set_index, set_q, set_realized = _SETTERS
         cuts = (np.flatnonzero(np.diff(self.support[start:stop])) + start + 1).tolist()
+        built: list[RationalDirection] = []
         for lo, hi in zip([start, *cuts], [*cuts, stop]):
             width = int(self.support[lo])
             items = list(map(_new_direction, repeat(RationalDirection, hi - lo)))
@@ -191,11 +154,13 @@ class DirectionSet(Sequence):
             deque(map(set_index, items, range(lo + 1, hi + 1)), 0)
             deque(map(set_q, items, repeat(self.q)), 0)
             deque(map(set_realized, items, self.realized[lo:hi, :width]), 0)
-            self._table.extend(items)
+            built += items
+        return built
 
     def __iter__(self):
         n = len(self)
-        self._build(n)
+        if len(self._table) < n:
+            self._table.extend(self._items(len(self._table), n))
         return islice(self._table, n)
 
     def __getitem__(self, key):
@@ -204,12 +169,10 @@ class DirectionSet(Sequence):
             row = range(n)[key]
             if row < len(self._table):
                 return self._table[row]
-            width = int(self.support[row])
-            canon = tuple(self.canon[row, :width].tolist())
-            return _trusted_direction(canon, row + 1, self.q, self.realized[row, :width])
+            return self._items(row, row + 1)[0]
         start, stop, step = key.indices(n)
         if start != 0 or step != 1:
-            return DirectionSet.of([self[i] for i in range(start, stop, step)])
+            raise ValueError(f"only prefix slices dirs[:n] are supported, not {key}")
         if stop == n:
             return self
         antipodes = self.antipodes[:stop]
@@ -294,9 +257,8 @@ def enumerate_directions(params: EnumerationParams) -> DirectionSet:
     return DirectionSet(canon, support, realized, antipodes, params.q)
 
 
-def realized_matrix(directions: Sequence[RationalDirection], n_rows: int) -> np.ndarray:
+def realized_matrix(directions: DirectionSet, n_rows: int) -> np.ndarray:
     """Stack realized directions as columns of an ``n_rows x len(directions)`` array."""
-    directions = DirectionSet.of(directions)
     needed = int(directions.support.max(initial=0))
     if n_rows < needed:
         raise ValueError(
@@ -308,14 +270,13 @@ def realized_matrix(directions: Sequence[RationalDirection], n_rows: int) -> np.
     return mat
 
 
-def coverage(directions: Sequence[RationalDirection], y: np.ndarray) -> tuple[int, float]:
+def coverage(directions: DirectionSet, y: np.ndarray) -> tuple[int, float]:
     """Best Euclidean correlation of y's direction with the enumerated set.
 
     Returns ``(index, value)`` where index is the 1-based direction index
     attaining the maximum of <y/||y||_2, zeta> and ties break toward the
     smallest index.  Only directions on the unit sphere of l^2 are supported.
     """
-    directions = DirectionSet.of(directions)
     if not directions:
         raise ValueError("directions must be nonempty")
     if directions.q != 2.0:
@@ -333,14 +294,7 @@ def coverage(directions: Sequence[RationalDirection], y: np.ndarray) -> tuple[in
     return best + 1, float(corr[best])
 
 
-def directions_to_json(directions: Sequence[RationalDirection]) -> str:
+def directions_to_json(directions: DirectionSet) -> str:
     records = [{"index": d.index, "canon": list(d.canon), "q": d.q} for d in directions]
     return json.dumps(records, indent=2)
 
-
-def directions_from_json(text: str) -> list[RationalDirection]:
-    records = json.loads(text)
-    return [
-        RationalDirection(tuple(int(c) for c in r["canon"]), int(r["index"]), float(r["q"]))
-        for r in records
-    ]

@@ -11,12 +11,11 @@ everything else degrades to unknown (None).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .directions import RationalDirection, realized_matrix
+from .directions import DirectionSet, realized_matrix
 
 __all__ = [
     "SpaceTag",
@@ -152,9 +151,7 @@ class TruncatedOperator:
         return self.entries.shape[1]
 
 
-def mazur(
-    directions: Sequence[RationalDirection], n_cols: int, n_rows: int
-) -> TruncatedOperator:
+def mazur(directions: DirectionSet, n_cols: int, n_rows: int) -> TruncatedOperator:
     """Truncation of the surjection of l^1 onto l^q built from unit directions.
 
     Column k is the realized direction zeta^(k), padded with zeros.  A
@@ -163,7 +160,6 @@ def mazur(
     """
     if n_cols < 1 or n_cols > len(directions):
         raise ValueError(f"n_cols must be in 1..{len(directions)}")
-    q = directions[0].q
     entries = realized_matrix(directions[:n_cols], n_rows)
     attrs = OperatorAttributes(
         range_closed=True,
@@ -178,7 +174,7 @@ def mazur(
     return TruncatedOperator(
         entries,
         SpaceTag.ell(1.0, n_cols),
-        SpaceTag.ell(q, n_rows),
+        SpaceTag.ell(directions.q, n_rows),
         attrs,
         "mazur",
         mazur_truncation=True,
@@ -214,6 +210,8 @@ def diagonal(sigma, n: int, domain_exponent: float = 2.0) -> TruncatedOperator:
     The full weight sequence is declared to tend to zero, which makes the
     infinite operator compact with non-closed range.
     """
+    # allocate first: a size too large for memory fails before any weight
+    entries = np.zeros((n, n))
     if callable(sigma):
         weights = np.array([float(sigma(k)) for k in range(1, n + 1)])
     else:
@@ -231,8 +229,9 @@ def diagonal(sigma, n: int, domain_exponent: float = 2.0) -> TruncatedOperator:
         surjective=False,
         weakstar_to_weak_continuous=True,
     ).normalized()
+    np.fill_diagonal(entries, weights)
     return TruncatedOperator(
-        np.diag(weights),
+        entries,
         SpaceTag.ell(domain_exponent, n),
         SpaceTag.ell(2.0, n),
         attrs,

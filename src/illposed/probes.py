@@ -126,11 +126,11 @@ def composition_probe(
     """
     if not np.any(outer.entries != 0.0):
         raise ValueError("outer operator is identically zero")
-    images = outer.entries @ direction_op.entries
-    norms = np.linalg.norm(images[:, :n_terms], axis=0)
+    op = compose(outer, direction_op)
+    norms = np.linalg.norm(op.entries[:, :n_terms], axis=0)
     best = int(np.argmax(norms))
-    eta = images[:, best] / norms[best]
-    return weak_star_probe(compose(outer, direction_op), eta, n_terms, threshold)
+    eta = op.entries[:, best] / norms[best]
+    return weak_star_probe(op, eta, n_terms, threshold)
 
 
 def pseudoinverse_growth(

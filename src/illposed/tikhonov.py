@@ -25,12 +25,11 @@ module are 1-based, matching direction indices.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .directions import DirectionSet, RationalDirection, coverage
+from .directions import DirectionSet, coverage
 from .operators import TruncatedOperator, mazur
 
 __all__ = [
@@ -292,20 +291,19 @@ def solve(
 
 
 def _antipode_index(
-    directions: Sequence[RationalDirection], k: int, limit: int | None = None
+    directions: DirectionSet, k: int, limit: int | None = None
 ) -> int | None:
     """1-based index of the direction opposite to direction k, if enumerated.
 
     Only the first ``limit`` directions count, all of them when it is None.
     """
-    directions = DirectionSet.of(directions)
     l = int(directions.antipodes[k - 1])
     stop = len(directions) if limit is None else min(limit, len(directions))
     return l if 0 < l <= stop else None
 
 
 def closed_form_minimizer(
-    directions: Sequence[RationalDirection],
+    directions: DirectionSet,
     k: int,
     lam: float,
     alpha: float,
@@ -349,7 +347,7 @@ def closed_form_minimizer(
 
 def minimizer_family_distance(
     x: np.ndarray,
-    directions: Sequence[RationalDirection],
+    directions: DirectionSet,
     k: int,
     lam: float,
     alpha: float,
@@ -408,7 +406,7 @@ class CollapseRow:
 
 
 def collapse_experiment(
-    directions: Sequence[RationalDirection],
+    directions: DirectionSet,
     y: np.ndarray,
     alpha: float,
     depth_schedule: list[int],
@@ -439,7 +437,6 @@ def collapse_experiment(
         raise ValueError("depths must be positive")
     if any(j < 1 for j in probe_indices):
         raise ValueError("probe indices must be >= 1")
-    directions = DirectionSet.of(directions)
     _, top = coverage(directions[:max_depth], y)
     if top > 1.0 - 1e-9:
         raise ValueError("y is (numerically) proportional to an enumerated direction")
@@ -507,7 +504,7 @@ def convergence_experiment(
     op: TruncatedOperator,
     x_true: np.ndarray,
     delta_schedule: list[float],
-    alpha_rule=None,
+    alpha_factor: float = 1.0,
     seed: int = 42,
     tol: float = 1e-10,
 ) -> ConvergenceReport:
@@ -515,17 +512,14 @@ def convergence_experiment(
 
     For each delta the data is A x_true + delta * u with a unit vector u
     drawn once from a standard normal seeded by ``seed``, alpha =
-    alpha_rule(delta) (identity by default), and the row records the l^1
-    distance of the minimizer from x_true together with its dominant support
-    index.
+    alpha_factor * delta, and the row records the l^1 distance of the
+    minimizer from x_true together with its dominant support index.
     """
     x_true = np.asarray(x_true, dtype=float)
     if x_true.shape != (op.n_cols,):
         raise ValueError(f"x_true must have length {op.n_cols}")
     if not delta_schedule:
         raise ValueError("delta schedule is empty")
-    if alpha_rule is None:
-        alpha_rule = lambda d: d
     u = np.random.default_rng(seed).standard_normal(op.n_rows)
     u = u / np.linalg.norm(u)
     y_exact = op.entries @ x_true
@@ -533,7 +527,7 @@ def convergence_experiment(
     for delta in delta_schedule:
         if delta < 0.0:
             raise ValueError("deltas must be nonnegative")
-        alpha = float(alpha_rule(delta))
+        alpha = float(alpha_factor * delta)
         data = y_exact + delta * u
         cert = solve(TikhonovProblem(op, data, alpha), tol=tol)
         dominant = int(np.argmax(np.abs(cert.x))) + 1

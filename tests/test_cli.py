@@ -9,11 +9,7 @@ import pytest
 
 from illposed.classify import OPERATORS
 from illposed.cli import main
-from illposed.directions import (
-    EnumerationParams,
-    directions_from_json,
-    enumerate_directions,
-)
+from illposed.directions import EnumerationParams, enumerate_directions
 from illposed.probes import ProbeReport
 from illposed.reports import json_report
 
@@ -43,9 +39,10 @@ def test_enumerate_json_round_trips(tmp_path):
     code, text = run(tmp_path, "enumerate", "--support", "2", "--entry", "1",
                      "--format", "json", name="dirs.json")
     assert code == 0
-    parsed = directions_from_json(text)
     fresh = enumerate_directions(EnumerationParams(2.0, 2, 1))
-    assert [d.canon for d in parsed] == [d.canon for d in fresh]
+    assert json.loads(text) == [
+        {"index": d.index, "canon": list(d.canon), "q": d.q} for d in fresh
+    ]
 
 
 def test_verify_theorem_small_grid(tmp_path):
@@ -277,6 +274,44 @@ def test_allocation_failure_exits_2(tmp_path, capsys):
     assert text == ""
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
+def test_diag_too_large_to_allocate_exits_2_before_its_weights(tmp_path, capsys):
+    # diag allocates its 71 PiB matrix before it evaluates 10^8 weights
+    code, text = run(tmp_path, "growth", "--operator", "diag", "--sizes", "100000000")
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["enumerate", "verify-theorem", "classify", "growth"])
+def test_seed_is_rejected_where_nothing_is_drawn(tmp_path, capsys, command):
+    assert run(tmp_path, command, "--seed", "7")[0] == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 7}))
+    assert run(tmp_path, command, "--config", str(cfg))[0] == 2
+    assert capsys.readouterr().err == "error: unknown config key 'seed'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["collapse", "--depths", "50"],
+        ["probe", "--eta", "random2", "--n", "50"],
+        ["convergence", "--n", "10", "--deltas", "1e-2"],
+    ],
+)
+def test_seed_is_taken_where_numbers_are_drawn(tmp_path, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 7}))
+    code, by_flag = run(tmp_path, *argv, "--seed", "7", name="flag.txt")
+    assert code == 0
+    code, by_config = run(tmp_path, *argv, "--config", str(cfg), name="config.txt")
+    assert code == 0 and by_config == by_flag
+    code, default = run(tmp_path, *argv, name="default.txt")
+    assert code == 0 and default != by_flag
 
 
 @pytest.mark.parametrize(

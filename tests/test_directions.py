@@ -13,12 +13,10 @@ from illposed.directions import (
     EnumerationParams,
     RationalDirection,
     coverage,
-    directions_from_json,
     directions_to_json,
     enumerate_directions,
 )
-from illposed.operators import mazur
-from illposed.tikhonov import _antipode_index, closed_form_minimizer
+from illposed.tikhonov import _antipode_index
 
 
 def canons(directions):
@@ -182,14 +180,13 @@ def test_coverage_dense_for_four_dim_targets():
 
 
 def test_json_round_trip():
-    dirs = enumerate_directions(EnumerationParams(2.0, 2, 2))
-    text = directions_to_json(dirs)
-    parsed = json.loads(text)
-    assert parsed[0] == {"index": 1, "canon": [1], "q": 2.0}
-    back = directions_from_json(text)
-    assert canons(back) == canons(dirs)
-    assert [d.index for d in back] == [d.index for d in dirs]
-    np.testing.assert_allclose(back[3].realized, dirs[3].realized)
+    params = EnumerationParams(3.0, 2, 2)
+    parsed = json.loads(directions_to_json(enumerate_directions(params)))
+    assert parsed[0] == {"index": 1, "canon": [1], "q": 3.0}
+    assert parsed == [
+        {"index": d.index, "canon": list(d.canon), "q": d.q}
+        for d in _oracle_enumeration(params)
+    ]
 
 
 # Reference implementation for the differential tests: an itertools walk over
@@ -330,44 +327,13 @@ def test_direction_set_is_read_only():
         dirs.canon = np.zeros((1, 1), dtype=np.int64)
 
 
-def test_of_hand_built_list_and_general_slices():
-    items = [
-        RationalDirection((1,), 1),
-        RationalDirection((1, 1), 2),
-        RationalDirection((-1,), 3),
-        RationalDirection((1,), 4),  # a repeat: the first copy is the antipode
-    ]
-    hand = DirectionSet.of(items)
-    assert DirectionSet.of(hand) is hand
-    assert list(hand) == items
-    np.testing.assert_array_equal(hand.antipodes, [3, 0, 1, 3])
-    np.testing.assert_array_equal(hand.support, [1, 2, 1, 1])
-    assert _antipode_index(hand, 3) == 1
-    assert _antipode_index(hand, 1, limit=2) is None
+def test_only_prefix_slices():
     dirs = enumerate_directions(EnumerationParams(2.0, 2, 3))
-    odd = dirs[1::2]
-    assert list(odd) == list(dirs)[1::2]
-    expected = _oracle_antipodes([d.canon for d in odd])
-    assert [_antipode_index(odd, k) for k in range(1, len(odd) + 1)] == expected
-    assert len(dirs[:0]) == 0 and len(dirs[-3:]) == 3
-
-
-def test_json_round_trip_list_gives_the_same_results():
-    dirs = enumerate_directions(EnumerationParams(2.0, 3, 4))
-    back = directions_from_json(directions_to_json(dirs))
-    assert isinstance(back, list)
-    np.testing.assert_array_equal(DirectionSet.of(back).antipodes, dirs.antipodes)
-    np.testing.assert_array_equal(
-        mazur(back, len(back), 3).entries, mazur(dirs, len(dirs), 3).entries
-    )
-    y = np.random.default_rng(3).standard_normal(3)
-    assert coverage(back, y) == coverage(dirs, y)
-    for k in (1, 17, 300, len(dirs)):
-        for gamma in (None, -0.2):
-            np.testing.assert_array_equal(
-                closed_form_minimizer(back, k, 1.0, 0.3, gamma),
-                closed_form_minimizer(dirs, k, 1.0, 0.3, gamma),
-            )
+    for key in (slice(1, None, 2), slice(-3, None), slice(None, None, -1)):
+        with pytest.raises(ValueError, match="prefix slices"):
+            dirs[key]
+    assert len(dirs[:0]) == 0 and list(dirs[:0]) == []
+    assert dirs[: len(dirs)] is dirs
 
 
 # Items built on demand from the columns: by index, by iteration and through

@@ -101,6 +101,15 @@ def test_diagonal_min_singular_value_and_decay():
         assert np.linalg.norm(op.entries @ e) == pytest.approx(1.0 / k, rel=1e-12)
 
 
+def test_diagonal_too_large_to_allocate_fails_before_any_weight():
+    def sigma(k):
+        raise AssertionError(f"weight {k} evaluated before the allocation")
+
+    # 10^8 x 10^8 float64 is 71 PiB, so the allocation fails at once
+    with pytest.raises(MemoryError):
+        diagonal(sigma, 10**8)
+
+
 def test_identity_flags_depend_on_exponent():
     assert identity(3).attributes.weakstar_to_weak_continuous is True
     assert identity(3, exponent=1.0).attributes.weakstar_to_weak_continuous is False
