@@ -88,12 +88,27 @@ def _fields(record) -> list:
     return [getattr(record, name) for name in record.CSV_FIELDS]
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+def _number(text: str, kind: type, option: str):
+    """``text`` as ``kind`` (int or float), or a ValueError that names ``option``."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{option} entry {text!r} is not {noun}") from None
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
+def _int_list(text: str, option: str) -> list[int]:
+    return [_number(part, int, option) for part in text.split(",") if part]
+
+
+def _float_list(text: str, option: str) -> list[float]:
+    return [_number(part, float, option) for part in text.split(",") if part]
+
+
+def _seed(args) -> int:
+    if args.seed < 0:
+        raise ValueError("--seed must be a non-negative integer")
+    return args.seed
 
 
 def _positive(value: float, option: str) -> float:
@@ -122,18 +137,19 @@ def _directions(args):
     return functools.cache(lambda: enumerate_directions(params))
 
 
-def _parse_vector(spec: str, dim: int, directions, seed: int) -> np.ndarray:
+def _parse_vector(spec: str, dim: int, directions, seed: int, option: str) -> np.ndarray:
     """Vector specs: 'random3', 'zeta:K', 'e:K', 'ones', or comma floats.
 
-    Only 'zeta:K' calls ``directions``; 'randomK' and comma vectors must fit ``dim``.
+    Only 'zeta:K' calls ``directions``; 'randomK' and comma vectors must fit
+    ``dim``.  A malformed number is reported against ``option``.
     """
     if spec.startswith("zeta:"):
-        k = int(spec.split(":")[1])
+        k = _number(spec.partition(":")[2], int, option)
         if not 1 <= k <= len(directions()):
             raise ValueError(f"direction index {k} out of range")
         return directions()[k - 1].realized_padded(dim)
     if spec.startswith("e:"):
-        k = int(spec.split(":")[1])
+        k = _number(spec.partition(":")[2], int, option)
         if not 1 <= k <= dim:
             raise ValueError(f"basis index {k} out of range for dim {dim}")
         out = np.zeros(dim)
@@ -142,10 +158,13 @@ def _parse_vector(spec: str, dim: int, directions, seed: int) -> np.ndarray:
     if spec == "ones":
         return np.ones(dim)
     if spec.startswith("random"):
-        values = np.random.default_rng(seed).standard_normal(int(spec[len("random"):]))
+        size = _number(spec[len("random"):], int, option)
+        if size < 0:
+            raise ValueError(f"{option} randomK needs K >= 0")
+        values = np.random.default_rng(seed).standard_normal(size)
         values /= np.linalg.norm(values)
     else:
-        values = np.array(_float_list(spec))
+        values = np.array(_float_list(spec, option))
     if dim and len(values) > dim:
         raise ValueError(f"vector longer than dimension {dim}")
     out = np.zeros(dim if dim else len(values))
@@ -218,10 +237,10 @@ def cmd_verify_theorem(args) -> int:
     if not 1 <= args.depth <= len(directions):
         raise ValueError(f"--depth must lie in 1..{len(directions)}")
     op = build_operator("B", args.depth, lambda: directions)
-    indices = _nonempty(_int_list(args.indices), "--indices")
+    indices = _nonempty(_int_list(args.indices, "--indices"), "--indices")
     if any(not 1 <= k <= args.depth for k in indices):
         raise ValueError(f"grid indices must lie in 1..{args.depth}")
-    multipliers = _nonempty(_float_list(args.multipliers), "--multipliers")
+    multipliers = _nonempty(_float_list(args.multipliers, "--multipliers"), "--multipliers")
     if not all(math.isfinite(m * args.alpha) for m in [1.0, *multipliers]):
         raise ValueError("--alpha and --alpha times each of --multipliers must be finite")
     rows = [
@@ -256,9 +275,9 @@ def cmd_verify_theorem(args) -> int:
 def cmd_collapse(args) -> int:
     _positive(args.tol, "--tol")
     directions = _directions(args)
-    depths = _int_list(args.depths)
-    y = _parse_vector(args.y, 0, directions, args.seed)
-    probes = tuple(_int_list(args.probes))
+    depths = _int_list(args.depths, "--depths")
+    y = _parse_vector(args.y, 0, directions, _seed(args), "--y")
+    probes = tuple(_int_list(args.probes, "--probes"))
     rows = collapse_experiment(
         directions(), y, args.alpha, depths, probe_indices=probes, tol=args.tol
     )
@@ -273,6 +292,7 @@ def cmd_probe(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be at least 1")
     _positive(args.threshold, "--threshold")
+    seed = _seed(args)
     directions = _directions(args)
     if args.compose:
         base = build_operator("B", args.n, directions)
@@ -280,7 +300,7 @@ def cmd_probe(args) -> int:
         report = composition_probe(outer, base, args.n, threshold=args.threshold)
     else:
         op = build_operator(args.operator, args.n, directions)
-        eta = _parse_vector(args.eta, op.n_rows, directions, args.seed)
+        eta = _parse_vector(args.eta, op.n_rows, directions, seed, "--eta")
         report = weak_star_probe(op, eta, args.n, threshold=args.threshold)
     if args.format == "json":
         _write(report.summary_json() + "\n", args.out)
@@ -346,19 +366,20 @@ def cmd_classify(args) -> int:
 
 def cmd_convergence(args) -> int:
     _positive(args.tol, "--tol")
-    deltas = _nonempty(_float_list(args.deltas), "--deltas")
+    deltas = _nonempty(_float_list(args.deltas, "--deltas"), "--deltas")
     if not all(math.isfinite(d) and d > 0.0 for d in deltas):
         raise ValueError("--deltas must be positive finite numbers")
+    seed = _seed(args)
     directions = _directions(args)
     # the Tikhonov problem needs an l^1 domain, so diag is built on l^1 here
     op = build_operator(args.operator, args.n, directions, domain_exponent=1.0)
-    x_true = _parse_vector(args.x_true, op.n_cols, directions, args.seed)
+    x_true = _parse_vector(args.x_true, op.n_cols, directions, seed, "--x-true")
     report = convergence_experiment(
         op,
         x_true,
         deltas,
         alpha_factor=args.alpha_factor,
-        seed=args.seed,
+        seed=seed,
         tol=args.tol,
     )
     header = list(report.rows[0].CSV_FIELDS) + ["converged"]
@@ -369,7 +390,7 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_growth(args) -> int:
-    sizes = _nonempty(_int_list(args.sizes), "--sizes")
+    sizes = _nonempty(_int_list(args.sizes, "--sizes"), "--sizes")
     if min(sizes) < 1:
         raise ValueError("--sizes must be at least 1")
     directions = _directions(args)

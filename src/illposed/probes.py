@@ -49,30 +49,51 @@ class ProbeReport:
 
     @property
     def verdict(self) -> str:
-        return "persists" if self.sup_tail >= self.threshold else "converges_to_zero"
+        return self._verdict(self.sup_tail)
+
+    def _verdict(self, sup_tail: float) -> str:
+        return "persists" if sup_tail >= self.threshold else "converges_to_zero"
 
     def to_csv(self) -> str:
         """One ``n,pairing`` line per pairing, each value to 17 significant digits.
 
-        Probe pairings repeat heavily (a basis functional against the
-        direction operator takes a few hundred values over tens of thousands
-        of terms), so each distinct value is formatted once and the lines
-        are filled from one template.  Values are grouped by their bit
-        pattern, not by float equality, which would merge -0.0 with 0.0.
+        The report is one NUL-padded byte matrix whose first row holds the
+        header and each later row one line: the index digits, a comma, the
+        value and a newline.  Rows run 1..n, so a leading digit position is
+        blank exactly on a row prefix.  Probe pairings repeat heavily (a
+        basis functional against the direction operator takes a few hundred
+        values over tens of thousands of terms), so each distinct value is
+        formatted once, padded to the 24 characters of the longest
+        ``%.17g`` output, and gathered into its rows.  Values are grouped by
+        their bit pattern, not by float equality, which would merge -0.0
+        with 0.0.  ``%.17g`` writes no space, so the padding spaces become
+        the NULs that are dropped at the end.
         """
         values = np.ascontiguousarray(self.pairings, dtype=np.float64)
         n = len(values)
         keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
         distinct = tuple(keys.view(np.float64).tolist())
-        text = ("%.17g\n" * len(distinct) % distinct).split("\n")[:-1]
-        cells = [0] * (2 * n)
-        cells[0::2] = range(1, n + 1)
-        cells[1::2] = np.array(text, dtype=object)[inverse].tolist()
-        return "n,pairing\n" + ("%d,%s\n" * n) % tuple(cells)
+        text = ("%-24.17g" * len(distinct) % distinct).replace(" ", "\0")
+        cells = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, 24)
+        width = len(str(n))
+        report = np.zeros((n + 1, width + 26), dtype=np.uint8)
+        report[0, :10] = np.frombuffer(b"n,pairing\n", dtype=np.uint8)
+        rows = report[1:]
+        index = np.arange(1, n + 1, dtype=np.min_scalar_type(n))
+        for col in range(width - 1, -1, -1):
+            index, digit = np.divmod(index, 10)
+            rows[:, col] = digit + ord("0")
+            # rows 1..10**k - 1 have no digit k places left of the units
+            rows[: 10 ** (width - 1 - col) - 1, col] = 0
+        rows[:, width] = ord(",")
+        rows[:, width + 1 : width + 25] = cells[inverse]
+        rows[:, width + 25] = ord("\n")
+        return str(report[report != 0].data, "ascii")
 
     def summary_json(self) -> str:
+        sup_tail = self.sup_tail
         return json.dumps(
-            {"label": self.label, "sup_tail": self.sup_tail, "verdict": self.verdict},
+            {"label": self.label, "sup_tail": sup_tail, "verdict": self._verdict(sup_tail)},
             indent=2,
             allow_nan=False,
         )

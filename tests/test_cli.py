@@ -333,6 +333,39 @@ def test_empty_schedule_or_zero_size_names_the_option(tmp_path, capsys, argv, op
     assert option in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["collapse", "--depths", "10,x"], "--depths entry 'x' is not an integer"),
+        (["collapse", "--probes", "1,y"], "--probes entry 'y' is not an integer"),
+        (["growth", "--sizes", "8,1.5"], "--sizes entry '1.5' is not an integer"),
+        (["convergence", "--deltas", "1e-2,q"], "--deltas entry 'q' is not a number"),
+        (["verify-theorem", "--indices", "1,w"], "--indices entry 'w' is not an integer"),
+        (["verify-theorem", "--multipliers", "1,v"], "--multipliers entry 'v' is not a number"),
+        (["probe", "--eta", "1,u,0"], "--eta entry 'u' is not a number"),
+        (["probe", "--eta", "zeta:x"], "--eta entry 'x' is not an integer"),
+        (["probe", "--eta", "e:1:9"], "--eta entry '1:9' is not an integer"),
+        (["probe", "--eta", "random-2"], "--eta randomK needs K >= 0"),
+        (["collapse", "--y", "1,2,k"], "--y entry 'k' is not a number"),
+        (["convergence", "--x-true", "e:k"], "--x-true entry 'k' is not an integer"),
+        (["collapse", "--seed", "-1"], "--seed must be a non-negative integer"),
+        (["probe", "--seed", "-1"], "--seed must be a non-negative integer"),
+        (["convergence", "--seed", "-1"], "--seed must be a non-negative integer"),
+    ],
+)
+def test_malformed_option_value_exits_2_naming_the_option(tmp_path, capsys, argv, message):
+    code, text = run(tmp_path, *argv)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_negative_config_seed_exits_2_naming_the_option(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    assert run(tmp_path, "collapse", "--config", str(cfg))[0] == 2
+    assert capsys.readouterr().err == "error: --seed must be a non-negative integer\n"
+
+
 def test_probe_mazur_persists(tmp_path):
     code, text = run(tmp_path, "probe", "--operator", "B", "--eta", "zeta:1",
                      "--n", "400", "--format", "json")

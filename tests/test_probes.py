@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from illposed.directions import EnumerationParams, enumerate_directions
 from illposed.operators import (
     OperatorAttributes,
     SpaceTag,
@@ -228,6 +229,10 @@ _TINY = 5e-324  # the smallest subnormal
             ],
             id="exponent-switch",
         ),
+        pytest.param(  # 24 characters each, the longest %.17g output
+            [-2.2250738585072014e-308, -1.7976931348623157e308, 0.5, -2.2250738585072014e-308],
+            id="longest-format",
+        ),
         pytest.param(np.tile([0.1, 1.0 / 3.0, -2.5, 0.0, -0.0], 2000), id="heavy-repeats"),
         pytest.param(np.full(3000, -1.0 / 7.0), id="one-value"),
         pytest.param(np.random.default_rng(5).standard_normal(5000), id="all-distinct"),
@@ -248,6 +253,27 @@ def test_to_csv_matches_per_line_formatting_on_probes(master_directions):
     ]
     for report in reports:
         assert report.to_csv() == _reference_csv(report.pairings)
+
+
+@pytest.mark.parametrize("n", [9, 10, 99, 100, 999, 1000, 99_999, 100_000])
+def test_to_csv_matches_per_line_formatting_at_index_width_boundaries(n):
+    values = np.random.default_rng(n).standard_normal(n)
+    values[::3] = -0.25
+    # compared as lines so that a failure reports its first differing line
+    # quickly instead of diffing the whole report
+    assert _csv(values).splitlines(True) == _reference_csv(values).splitlines(True)
+
+
+def test_to_csv_matches_per_line_formatting_on_the_lattice_probe():
+    # support 5 / entry 4 is the benchmark's lattice enumeration; a random
+    # functional pairs every one of its directions to a distinct value
+    directions = enumerate_directions(EnumerationParams(max_support=5, max_entry=4))
+    n = len(directions)
+    assert n == 55_682
+    eta = np.random.default_rng(3).standard_normal(5)
+    report = weak_star_probe(mazur(directions, n, 5), eta / np.linalg.norm(eta), n)
+    assert len(np.unique(report.pairings.view(np.int64))) == n
+    assert report.to_csv().splitlines(True) == _reference_csv(report.pairings).splitlines(True)
 
 
 _any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
