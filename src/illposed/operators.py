@@ -11,7 +11,7 @@ everything else degrades to unknown (None).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 
@@ -117,7 +117,7 @@ class TruncatedOperator:
 
     ``mazur_truncation`` records that the columns realize a dense unit-sphere
     direction sequence; a few propagation rules are only valid for such
-    operators.
+    operators.  The entries are copied and frozen.
     """
 
     entries: np.ndarray
@@ -126,8 +126,9 @@ class TruncatedOperator:
     attributes: OperatorAttributes
     label: str
     mazur_truncation: bool = False
+    _fresh: InitVar[bool] = False  # builders here freeze their new matrix in place
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _fresh: bool) -> None:
         entries = np.asarray(self.entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] < 1 or entries.shape[1] < 1:
             raise ValueError("entries must be a nonempty 2-d matrix")
@@ -138,7 +139,8 @@ class TruncatedOperator:
                 f"entries shape {entries.shape} does not match tags "
                 f"({self.codomain_tag.dim}, {self.domain_tag.dim})"
             )
-        entries = entries.copy()
+        if not _fresh:
+            entries = entries.copy()
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
@@ -178,6 +180,7 @@ def mazur(directions: DirectionSet, n_cols: int, n_rows: int) -> TruncatedOperat
         attrs,
         "mazur",
         mazur_truncation=True,
+        _fresh=True,
     )
 
 
@@ -200,7 +203,7 @@ def embedding(p: float, q: float, n: int) -> TruncatedOperator:
         weakstar_to_weak_continuous=True,
     ).normalized()
     return TruncatedOperator(
-        np.eye(n), SpaceTag.ell(p, n), SpaceTag.ell(q, n), attrs, f"embed({p:g},{q:g})"
+        np.eye(n), SpaceTag.ell(p, n), SpaceTag.ell(q, n), attrs, f"embed({p:g},{q:g})", _fresh=True
     )
 
 
@@ -236,6 +239,7 @@ def diagonal(sigma, n: int, domain_exponent: float = 2.0) -> TruncatedOperator:
         SpaceTag.ell(2.0, n),
         attrs,
         "diag",
+        _fresh=True,
     )
 
 
@@ -255,7 +259,7 @@ def identity(n: int, exponent: float = 2.0) -> TruncatedOperator:
         weakstar_to_weak_continuous=(exponent > 1.0),
     )
     tag = SpaceTag.ell(exponent, n)
-    return TruncatedOperator(np.eye(n), tag, tag, attrs, "identity")
+    return TruncatedOperator(np.eye(n), tag, tag, attrs, "identity", _fresh=True)
 
 
 def _is_nonzero(op: TruncatedOperator) -> bool:
@@ -335,6 +339,7 @@ def compose(outer: TruncatedOperator, inner: TruncatedOperator) -> TruncatedOper
         outer.codomain_tag,
         attrs,
         f"{outer.label}@{inner.label}",
+        _fresh=True,
     )
 
 
@@ -388,6 +393,7 @@ def block_product(first: TruncatedOperator, second: TruncatedOperator) -> Trunca
         SpaceTag.product(first.codomain_tag, second.codomain_tag),
         attrs,
         f"({first.label},{second.label})",
+        _fresh=True,
     )
 
 
@@ -416,7 +422,7 @@ def injective_counterexample(n: int) -> TruncatedOperator:
         weakstar_to_weak_continuous=False,
     )
     return TruncatedOperator(
-        entries, SpaceTag.ell(1.0, n), SpaceTag.ell(2.0, n), attrs, "sum_decay"
+        entries, SpaceTag.ell(1.0, n), SpaceTag.ell(2.0, n), attrs, "sum_decay", _fresh=True
     )
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import TruncatedOperator, compose
+from .reports import float_cells
 
 __all__ = [
     "ProbeReport",
@@ -55,26 +56,20 @@ class ProbeReport:
         return "persists" if sup_tail >= self.threshold else "converges_to_zero"
 
     def to_csv(self) -> str:
-        """One ``n,pairing`` line per pairing, each value to 17 significant digits.
+        """One ``n,pairing`` line per pairing, each value as ``%.17g`` writes it.
 
-        The report is one NUL-padded byte matrix whose first row holds the
-        header and each later row one line: the index digits, a comma, the
-        value and a newline.  Rows run 1..n, so a leading digit position is
-        blank exactly on a row prefix.  Probe pairings repeat heavily (a
-        basis functional against the direction operator takes a few hundred
-        values over tens of thousands of terms), so each distinct value is
-        formatted once, padded to the 24 characters of the longest
-        ``%.17g`` output, and gathered into its rows.  Values are grouped by
-        their bit pattern, not by float equality, which would merge -0.0
-        with 0.0.  ``%.17g`` writes no space, so the padding spaces become
-        the NULs that are dropped at the end.
+        The report is one NUL-padded byte matrix: row 0 the header, row k
+        the index digits, a comma, the value and a newline of line k (rows
+        run 1..n, so a leading digit position is blank on a row prefix).
+        Pairings repeat heavily, so ``reports.float_cells`` writes each
+        distinct bit pattern once (float equality would merge -0.0 with 0.0):
+        the exact product for 1e-6 < |v| < 1e17 and the ``%`` operator for
+        zeros, non-finite values and other magnitudes.  NULs are dropped.
         """
         values = np.ascontiguousarray(self.pairings, dtype=np.float64)
         n = len(values)
         keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        distinct = tuple(keys.view(np.float64).tolist())
-        text = ("%-24.17g" * len(distinct) % distinct).replace(" ", "\0")
-        cells = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, 24)
+        cells = float_cells(keys.view(np.float64))
         width = len(str(n))
         report = np.zeros((n + 1, width + 26), dtype=np.uint8)
         report[0, :10] = np.frombuffer(b"n,pairing\n", dtype=np.uint8)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from illposed.classify import harmonic
 from illposed.directions import EnumerationParams, enumerate_directions
 from illposed.operators import (
     OperatorAttributes,
@@ -263,3 +266,26 @@ def test_truncated_operator_validation():
             OperatorAttributes(),
             "bad",
         )
+
+
+def test_builders_freeze_their_matrix_without_copying_it():
+    # a build holds its matrix and the finiteness mask at once, not two matrices
+    tracemalloc.start()
+    try:
+        op = diagonal(harmonic, 3000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * op.entries.nbytes
+    assert not op.entries.flags.writeable
+
+
+def test_direct_construction_copies_and_freezes():
+    entries = np.eye(2)
+    op = TruncatedOperator(
+        entries, SpaceTag.ell(2.0, 2), SpaceTag.ell(2.0, 2), OperatorAttributes(), "copy"
+    )
+    entries[0, 0] = 5.0
+    assert op.entries[0, 0] == 1.0
+    assert not op.entries.flags.writeable
+    assert entries.flags.writeable
