@@ -367,6 +367,8 @@ def cmd_classify(args) -> int:
 def cmd_convergence(args) -> int:
     _positive(args.tol, "--tol")
     deltas = _nonempty(_float_list(args.deltas, "--deltas"), "--deltas")
+    # convergence_experiment checks deltas and --alpha-factor too; this check
+    # stays so that a bad --deltas entry gets a message naming the option
     if not all(math.isfinite(d) and d > 0.0 for d in deltas):
         raise ValueError("--deltas must be positive finite numbers")
     seed = _seed(args)

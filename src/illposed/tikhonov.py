@@ -123,24 +123,31 @@ def soft_threshold(v: float, t: float) -> float:
 
 
 def objective(problem: TikhonovProblem, x: np.ndarray) -> float:
+    a = problem.operator.entries
     x = np.asarray(x, dtype=float)
-    if x.shape != (problem.operator.n_cols,):
-        raise ValueError(
-            f"x must have length {problem.operator.n_cols}, got {x.shape}"
-        )
-    misfit = problem.operator.entries @ x - problem.y
+    if x.shape != (a.shape[1],):
+        raise ValueError(f"x must have length {a.shape[1]}, got {x.shape}")
+    misfit = a @ x
+    misfit -= problem.y
     return 0.5 * float(misfit @ misfit) + problem.alpha * float(np.abs(x).sum())
 
 
-def _kkt_residual(corr: np.ndarray, x: np.ndarray, alpha: float) -> float:
+def _peak(corr: np.ndarray) -> int:
+    """First index of the largest |corr_j|, from one argmax and one argmin (both stop at a NaN)."""
+    hi, lo = int(corr.argmax()), int(corr.argmin())
+    top, bottom = corr.item(hi), -corr.item(lo)
+    return lo if bottom > top or (bottom == top and lo < hi) else hi
+
+
+def _kkt_residual(corr: np.ndarray, x: np.ndarray, alpha: float, peak: int | None = None) -> float:
     """max_j of |corr_j/alpha - sign x_j| on the support and |corr_j/alpha| - 1 off it.
 
     Only the support (x_j != 0, so -0.0 is off it) is gathered.  The second
     term is taken over every j: on the support |g| - 1 <= |g - sign x_j|,
     also after rounding, so those j never raise the maximum.  The largest
-    |corr_j| is divided by alpha once: dividing by alpha > 0 is monotone, so
-    this is the largest |corr_j/alpha| to the bit.  A NaN in corr makes the
-    residual NaN, which no tolerance accepts.
+    |corr_j| (at index ``peak`` when given) is divided by alpha once: dividing
+    by alpha > 0 is monotone, so this is the largest |corr_j/alpha| to the
+    bit.  A NaN in corr makes the residual NaN, which no tolerance accepts.
     """
     on = (x != 0.0).nonzero()[0]
     res = 0.0
@@ -149,7 +156,7 @@ def _kkt_residual(corr: np.ndarray, x: np.ndarray, alpha: float) -> float:
         g /= alpha
         g -= np.sign(x[on])
         res = float(np.abs(g, out=g).max())
-    excess = float(np.abs(corr).max(initial=0.0)) / alpha - 1.0
+    excess = abs(corr.item(_peak(corr) if peak is None else peak)) / alpha - 1.0
     if excess > res or math.isnan(excess):
         res = excess
     return res
@@ -160,38 +167,31 @@ def optimality_residual(problem: TikhonovProblem, x: np.ndarray) -> float:
 
     Zero residual certifies a global minimizer of the convex functional.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.operator.n_cols,):
-        raise ValueError(
-            f"x must have length {problem.operator.n_cols}, got {x.shape}"
-        )
     a = problem.operator.entries
-    corr = a.T @ (problem.y - a @ x)
-    return _kkt_residual(corr, x, problem.alpha)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (a.shape[1],):
+        raise ValueError(f"x must have length {a.shape[1]}, got {x.shape}")
+    misfit = a @ x
+    np.subtract(problem.y, misfit, out=misfit)
+    return _kkt_residual(a.T @ misfit, x, problem.alpha)
 
 
 def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve r z = b for an upper-triangular r."""
     z = np.empty(len(b))
     for i in range(len(b) - 1, -1, -1):
-        z[i] = (b[i] - r[i, i + 1 :] @ z[i + 1 :]) / r[i, i]
+        z[i] = (b[i] - r[i, i + 1 :].dot(z[i + 1 :])) / r[i, i]
     return z
 
 
-def _forward_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve r^T z = b for an upper-triangular r."""
-    return _back_substitute(r.T[::-1, ::-1], b[::-1])[::-1]
-
-
-def _drop_column(q: np.ndarray, r: np.ndarray, i: int):
-    """QR factors of N with column i removed, given N = q r (Givens rotations)."""
-    r = np.delete(r, i, axis=1)
-    for j in range(i, r.shape[1]):
+def _drop_column(q: np.ndarray, r: np.ndarray, m: int, i: int) -> None:
+    """Remove column i of N = q[:, :m] r[:m, :m] in place; r below its diagonal is never read."""
+    r[:m, i : m - 1] = r[:m, i + 1 : m]
+    for j in range(i, m - 1):
         h = math.hypot(r[j, j], r[j + 1, j])
         g = np.array([[r[j, j], r[j + 1, j]], [-r[j + 1, j], r[j, j]]]) / h
-        r[j : j + 2, j:] = g @ r[j : j + 2, j:]
+        r[j : j + 2, j : m - 1] = g @ r[j : j + 2, j : m - 1]
         q[:, j : j + 2] = q[:, j : j + 2] @ g.T
-    return q[:, :-1], r[:-1]
 
 
 def solve(
@@ -208,16 +208,20 @@ def solve(
     Each step adds the most violated constraint with its sign: a partial step
     toward it stops where an active multiplier reaches zero and drops that
     constraint, and a full step makes the new constraint active.  The
-    multipliers come from a QR factorization of the active normals, updated
-    as constraints enter and leave; after each full step they are recomputed
-    from the factors, so at most n_rows columns carry mass.
+    multipliers come from a QR factorization N = Q R of the m active normals,
+    recomputed after each full step, so at most n_rows columns carry mass.
+    Q and R are n_rows x cap and cap x cap buffers, cap = min(n_rows, n_cols),
+    allocated once per solve: a new constraint writes one column of each, and
+    a dropped one is rotated out in place (Givens rotations, Golub and Van
+    Loan, *Matrix Computations*, section 6.5).
 
-    Each step starts from the residual y - Ax recomputed from scratch, and
-    the loop stops once its optimality residual is <= tol.  A step is one
-    added constraint together with the constraints dropped on the way.  The
-    loop also stops when ``max_iter`` steps are spent, or when the most
-    violated constraint is already active, so that only rounding keeps the
-    residual above tol; both are flagged on the certificate, not raised.
+    No bookkeeping decides the stop.  Each check recomputes the residual y -
+    Ax from scratch (y itself at x = 0), and the loop stops as converged only
+    once that check's optimality residual is <= tol.  A step is one added
+    constraint together with the constraints dropped on the way.  The loop
+    also stops when ``max_iter`` steps are spent, or when the most violated
+    constraint is already active, so that only rounding keeps the residual
+    above tol; both are flagged on the certificate, not raised.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be a positive finite number")
@@ -226,58 +230,63 @@ def solve(
     a = problem.operator.entries
     y = problem.y
     alpha = problem.alpha
-    x = np.zeros(problem.operator.n_cols)
+    cap = min(a.shape)
+    q, r = np.empty((len(y), cap)), np.empty((cap, cap))  # N = q[:, :m] r[:m, :m]
+    u, signs, w = np.empty((3, cap))
     active: list[int] = []
-    signs, u = np.zeros(0), np.zeros(0)
-    q, r = np.zeros((len(y), 0)), np.zeros((0, 0))  # active normals N = q r
+    m = kept = 0  # w[:kept] solves r[:kept, :kept]^T w = alpha; dropping i keeps w[:i]
+    x = np.zeros(a.shape[1])
+    misfit = y  # y - Ax at x = 0
     steps = 0
     converged = False
     while True:
-        misfit = y - a @ x
         corr = a.T @ misfit
-        residual = _kkt_residual(corr, x, alpha)
+        j = _peak(corr)
+        residual = _kkt_residual(corr, x, alpha, j)
         if residual <= tol:
             converged = True
             break
-        j = int(np.argmax(np.abs(corr)))
-        violation = abs(float(corr[j])) - alpha
+        violation = abs(corr.item(j)) - alpha
         if steps >= max_iter or violation <= 0.0 or j in active:
             break  # budget spent, or rounding sets the residual's floor
-        sign = math.copysign(1.0, corr[j])
+        sign = math.copysign(1.0, corr.item(j))
         normal = sign * a[:, j]
         while True:
-            d = q.T @ normal
-            z = normal - q @ d  # the part of the normal no active one spans
+            d = q[:, :m].T @ normal
+            z = normal - q[:, :m] @ d if m else normal  # the part no active normal spans
             zz = float(z @ z)
-            full = violation / zz if zz > 1e-24 * float(normal @ normal) else math.inf
-            direction = _back_substitute(r, d)  # how the active multipliers fall
-            ratios = np.full(len(u) + 1, math.inf)
-            blocking = np.nonzero(direction > 0.0)[0]
-            ratios[blocking] = u[blocking] / direction[blocking]
-            drop = int(np.argmin(ratios))
+            full = violation / zz if m < cap and zz > 1e-24 * float(normal @ normal) else math.inf
+            if not m:  # no active multiplier to block the full step
+                break
+            direction = _back_substitute(r[:m, :m], d)  # how the multipliers fall
+            ratios = np.divide(u[:m], direction, out=np.full(m, math.inf), where=direction > 0.0)
+            drop = int(ratios.argmin())
             if full <= ratios[drop]:
                 break
-            u = np.delete(u - ratios[drop] * direction, drop)
+            u[:m] -= ratios[drop] * direction
             violation -= ratios[drop] * zz
-            q, r = _drop_column(q, r, drop)
+            _drop_column(q, r, m, drop)
+            m, kept = m - 1, min(kept, drop)
+            u[drop:m] = u[drop + 1 : m + 1]
+            signs[drop:m] = signs[drop + 1 : m + 1]
             del active[drop]
-            signs = np.delete(signs, drop)
         if full == math.inf:
             break  # the dual is infeasible, impossible for alpha > 0
         rho = math.sqrt(zz)
-        q = np.column_stack([q, z / rho])
-        grown = np.zeros((len(d) + 1, len(d) + 1))
-        grown[:-1, :-1], grown[:, -1] = r, np.append(d, rho)
-        r = grown
+        q[:, m] = z / rho
+        r[:m, m], r[m, m], signs[m] = d, rho, sign
         active.append(j)
-        signs = np.append(signs, sign)
+        m += 1
         # multipliers of the new active set: N u = y - p with N^T p = alpha
-        w = _forward_substitute(r, np.full(len(active), alpha))
-        u = np.maximum(_back_substitute(r, q.T @ y - w), 0.0)
+        for i in range(kept, m):  # forward substitution, each sum up a column of r
+            w[i] = (alpha - r[:i, i][::-1] @ w[:i][::-1]) / r[i, i]
+        kept = m
+        np.maximum(_back_substitute(r[:m, :m], q[:, :m].T @ y - w[:m]), 0.0, out=u[:m])
         x[:] = 0.0
-        x[active] = signs * u
+        x[active] = signs[:m] * u[:m]
         steps += 1
-    support = tuple(int(j) + 1 for j in np.nonzero(np.abs(x) > SUPPORT_EPS)[0])
+        misfit = y - a @ x
+    support = tuple(int(j) + 1 for j in (x != 0.0).nonzero()[0] if abs(x[j]) > SUPPORT_EPS)
     return MinimizerCertificate(
         x=x,
         # the objective at x, from the misfit of the last check: y - Ax is
@@ -513,21 +522,22 @@ def convergence_experiment(
     For each delta the data is A x_true + delta * u with a unit vector u
     drawn once from a standard normal seeded by ``seed``, alpha =
     alpha_factor * delta, and the row records the l^1 distance of the
-    minimizer from x_true together with its dominant support index.
+    minimizer from x_true together with its dominant support index.  All
+    deltas and alphas are checked to be positive and finite before any solve.
     """
     x_true = np.asarray(x_true, dtype=float)
     if x_true.shape != (op.n_cols,):
         raise ValueError(f"x_true must have length {op.n_cols}")
     if not delta_schedule:
         raise ValueError("delta schedule is empty")
+    alphas = [float(alpha_factor * delta) for delta in delta_schedule]
+    if not all(math.isfinite(v) and v > 0.0 for v in (alpha_factor, *delta_schedule, *alphas)):
+        raise ValueError("deltas, alpha_factor and their products must be positive finite numbers")
     u = np.random.default_rng(seed).standard_normal(op.n_rows)
     u = u / np.linalg.norm(u)
     y_exact = op.entries @ x_true
     rows: list[ConvergenceRow] = []
-    for delta in delta_schedule:
-        if delta < 0.0:
-            raise ValueError("deltas must be nonnegative")
-        alpha = float(alpha_factor * delta)
+    for delta, alpha in zip(delta_schedule, alphas):
         data = y_exact + delta * u
         cert = solve(TikhonovProblem(op, data, alpha), tol=tol)
         dominant = int(np.argmax(np.abs(cert.x))) + 1

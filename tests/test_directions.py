@@ -383,6 +383,21 @@ def test_items_built_on_demand_match_the_constructor(q, support, entry, n):
     _assert_on_demand_items(q, (support, entry), n)
 
 
+@pytest.mark.parametrize("q, bounds", [(2.0, (3, 4)), (1.5, (2, 6)), (3.0, (4, 2))])
+def test_indexed_item_equals_the_iterated_one(q, bounds):
+    params = EnumerationParams(q, *bounds)
+    iterated = list(enumerate_directions(params))
+    indexed = enumerate_directions(params)  # never iterated: each index builds its item
+    for row, expected in enumerate(iterated):
+        for d in (indexed[row], indexed[row - len(iterated)]):
+            assert d.canon == expected.canon and all(type(c) is int for c in d.canon)
+            assert (d.index, d.q) == (expected.index, expected.q)
+            assert d.realized.shape == expected.realized.shape
+            assert d.realized.tobytes() == expected.realized.tobytes()
+            assert not d.realized.flags.writeable
+    assert indexed._table == []
+
+
 def test_indexed_item_out_of_range_raises_index_error():
     dirs = enumerate_directions(EnumerationParams(2.0, 2, 2))
     with pytest.raises(IndexError):

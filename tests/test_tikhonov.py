@@ -12,7 +12,10 @@ from illposed.operators import (
     injective_counterexample,
     mazur,
 )
+from illposed import tikhonov
 from illposed.tikhonov import (
+    SUPPORT_EPS,
+    MinimizerCertificate,
     TikhonovProblem,
     _kkt_residual,
     closed_form_minimizer,
@@ -239,6 +242,253 @@ def test_step_budget_is_reported_not_raised():
     assert not cert.converged and cert.iterations == 3
     assert cert.residual == pytest.approx(optimality_residual(problem, cert.x))
     assert solve(problem).iterations > 3
+
+
+# The solver as it was before its factors moved into preallocated buffers,
+# kept as the reference for the differential tests below.  The body of
+# reference_solve is verbatim; only the names of its three helpers carry the
+# reference_ prefix.
+
+
+def reference_back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve r z = b for an upper-triangular r."""
+    z = np.empty(len(b))
+    for i in range(len(b) - 1, -1, -1):
+        z[i] = (b[i] - r[i, i + 1 :] @ z[i + 1 :]) / r[i, i]
+    return z
+
+
+def reference_forward_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve r^T z = b for an upper-triangular r."""
+    return reference_back_substitute(r.T[::-1, ::-1], b[::-1])[::-1]
+
+
+def reference_drop_column(q: np.ndarray, r: np.ndarray, i: int):
+    """QR factors of N with column i removed, given N = q r (Givens rotations)."""
+    r = np.delete(r, i, axis=1)
+    for j in range(i, r.shape[1]):
+        h = math.hypot(r[j, j], r[j + 1, j])
+        g = np.array([[r[j, j], r[j + 1, j]], [-r[j + 1, j], r[j, j]]]) / h
+        r[j : j + 2, j:] = g @ r[j : j + 2, j:]
+        q[:, j : j + 2] = q[:, j : j + 2] @ g.T
+    return q[:, :-1], r[:-1]
+
+
+def reference_solve(
+    problem: TikhonovProblem,
+    tol: float = 1e-10,
+    max_iter: int = 10000,
+) -> MinimizerCertificate:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be a positive finite number")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    a = problem.operator.entries
+    y = problem.y
+    alpha = problem.alpha
+    x = np.zeros(problem.operator.n_cols)
+    active: list[int] = []
+    signs, u = np.zeros(0), np.zeros(0)
+    q, r = np.zeros((len(y), 0)), np.zeros((0, 0))  # active normals N = q r
+    steps = 0
+    converged = False
+    while True:
+        misfit = y - a @ x
+        corr = a.T @ misfit
+        residual = _kkt_residual(corr, x, alpha)
+        if residual <= tol:
+            converged = True
+            break
+        j = int(np.argmax(np.abs(corr)))
+        violation = abs(float(corr[j])) - alpha
+        if steps >= max_iter or violation <= 0.0 or j in active:
+            break  # budget spent, or rounding sets the residual's floor
+        sign = math.copysign(1.0, corr[j])
+        normal = sign * a[:, j]
+        while True:
+            d = q.T @ normal
+            z = normal - q @ d  # the part of the normal no active one spans
+            zz = float(z @ z)
+            full = violation / zz if zz > 1e-24 * float(normal @ normal) else math.inf
+            direction = reference_back_substitute(r, d)  # how the active multipliers fall
+            ratios = np.full(len(u) + 1, math.inf)
+            blocking = np.nonzero(direction > 0.0)[0]
+            ratios[blocking] = u[blocking] / direction[blocking]
+            drop = int(np.argmin(ratios))
+            if full <= ratios[drop]:
+                break
+            u = np.delete(u - ratios[drop] * direction, drop)
+            violation -= ratios[drop] * zz
+            q, r = reference_drop_column(q, r, drop)
+            del active[drop]
+            signs = np.delete(signs, drop)
+        if full == math.inf:
+            break  # the dual is infeasible, impossible for alpha > 0
+        rho = math.sqrt(zz)
+        q = np.column_stack([q, z / rho])
+        grown = np.zeros((len(d) + 1, len(d) + 1))
+        grown[:-1, :-1], grown[:, -1] = r, np.append(d, rho)
+        r = grown
+        active.append(j)
+        signs = np.append(signs, sign)
+        # multipliers of the new active set: N u = y - p with N^T p = alpha
+        w = reference_forward_substitute(r, np.full(len(active), alpha))
+        u = np.maximum(reference_back_substitute(r, q.T @ y - w), 0.0)
+        x[:] = 0.0
+        x[active] = signs * u
+        steps += 1
+    support = tuple(int(j) + 1 for j in np.nonzero(np.abs(x) > SUPPORT_EPS)[0])
+    return MinimizerCertificate(
+        x=x,
+        # the objective at x, from the misfit of the last check: y - Ax is
+        # exactly -(Ax - y), so this equals objective(problem, x) to the bit
+        objective=0.5 * float(misfit @ misfit) + alpha * float(np.abs(x).sum()),
+        residual=residual,
+        iterations=steps,
+        support=support,
+        converged=converged,
+    )
+
+
+def _bytes(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def assert_same_path(problem, antipodes=None, **kwargs):
+    """solve and reference_solve take the same steps to the same support.
+
+    On 3-row operators every product runs the same kernel on both sides, so
+    x, objective and residual are equal to the byte.  With more rows numpy
+    picks another kernel for some products by the strides of Q, which may
+    move the last bits.  A direction k and its antipode l have a_l = -a_k,
+    so |corr_k| = |corr_l| up to rounding, and such a move can send the mass
+    of k to l with the opposite sign: the same fit, objective and steps.
+    When the 1-based ``antipodes`` of the columns are given, supports are
+    compared up to that swap.
+    """
+    got, want = solve(problem, **kwargs), reference_solve(problem, **kwargs)
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    if antipodes is None or problem.operator.n_rows == 3:
+        assert got.support == want.support
+    else:
+        pair = lambda support: sorted(min(k, antipodes[k - 1] or k) for k in support)
+        assert pair(got.support) == pair(want.support)
+    assert got.objective == pytest.approx(want.objective, rel=1e-12, abs=0.0)
+    if problem.operator.n_rows == 3:
+        assert _bytes(got.x) == _bytes(want.x)
+        assert _bytes(got.objective) == _bytes(want.objective)
+        assert _bytes(got.residual) == _bytes(want.residual)
+    return got
+
+
+ROW_ENUMERATIONS = {3: (3, 8), 4: (4, 4), 5: (5, 3)}
+
+
+@pytest.fixture(scope="module")
+def row_directions():
+    return {
+        rows: enumerate_directions(EnumerationParams(2.0, *bounds))
+        for rows, bounds in ROW_ENUMERATIONS.items()
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.sampled_from(sorted(ROW_ENUMERATIONS)),
+    depth_fraction=st.floats(min_value=0.0, max_value=1.0),
+    kind=st.sampled_from(["generic", "spike"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scale=st.floats(min_value=0.25, max_value=16.0),
+    alpha=st.floats(min_value=0.01, max_value=1.0),
+)
+def test_solve_follows_the_reference_on_direction_operators(
+    row_directions, rows, depth_fraction, kind, seed, scale, alpha
+):
+    directions = row_directions[rows]
+    depth = max(1, round(depth_fraction * min(len(directions), 3000)))
+    rng = np.random.default_rng(seed)
+    if kind == "generic":
+        y = rng.standard_normal(rows)
+        y *= scale * alpha / np.linalg.norm(y)
+    else:  # lambda * zeta^(k), with lambda of either sign
+        k = int(rng.integers(1, depth + 1))
+        lam = scale * alpha * rng.choice([-1.0, 1.0])
+        y = lam * directions[k - 1].realized_padded(rows)
+    problem = TikhonovProblem(mazur(directions, depth, rows), y, alpha)
+    assert_same_path(problem, directions[:depth].antipodes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["diag", "inj"]),
+    n=st.integers(min_value=2, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    delta=st.floats(min_value=1e-4, max_value=0.5),
+)
+def test_solve_follows_the_reference_on_wide_operators(name, n, seed, delta):
+    if name == "diag":
+        op = diagonal(lambda k: 1.0 / k, n, domain_exponent=1.0)
+    else:
+        op = injective_counterexample(n)
+    u = np.random.default_rng(seed).standard_normal(n)
+    u /= np.linalg.norm(u)
+    assert_same_path(TikhonovProblem(op, op.entries[:, 0] + delta * u, delta))
+
+
+@pytest.mark.parametrize(
+    "name, n, delta", [("inj", 400, 1e-5), ("inj", 200, 1e-3), ("diag", 400, 1e-3)]
+)
+def test_wide_solves_keep_the_reference_bytes(name, n, delta):
+    # the noise draw of the convergence command (seed 42), whose README rows
+    # and certificates must not move
+    if name == "diag":
+        op = diagonal(lambda k: 1.0 / k, n, domain_exponent=1.0)
+    else:
+        op = injective_counterexample(n)
+    u = np.random.default_rng(42).standard_normal(n)
+    u /= np.linalg.norm(u)
+    problem = TikhonovProblem(op, op.entries[:, 0] + delta * u, delta)
+    got, want = solve(problem), reference_solve(problem)
+    assert got.iterations == want.iterations and got.support == want.support
+    assert _bytes(got.x) == _bytes(want.x)
+    assert _bytes([got.objective, got.residual]) == _bytes([want.objective, want.residual])
+
+
+@pytest.mark.parametrize("spare", [0, 2])
+@pytest.mark.parametrize("size", range(2, 9))
+def test_drop_column_in_place_keeps_an_orthonormal_qr(size, spare):
+    # the buffers hold NaN everywhere solve leaves them unwritten: below R's
+    # diagonal and past the m = size active columns (cap = size + spare)
+    rng = np.random.default_rng(size)
+    cap = size + spare
+    n_rows = cap + 1
+    normals = rng.standard_normal((n_rows, size))
+    factor_q, factor_r = np.linalg.qr(normals)
+    for i in range(size):
+        q, r = np.full((n_rows, cap), np.nan), np.full((cap, cap), np.nan)
+        q[:, :size] = factor_q
+        upper = np.triu_indices(size)
+        r[upper] = factor_r[upper]
+        tikhonov._drop_column(q, r, size, i)
+        kept_q, kept_r = q[:, : size - 1], np.triu(r[: size - 1, : size - 1])
+        assert not np.isnan(kept_q).any() and not np.isnan(kept_r).any()
+        assert np.abs(kept_q.T @ kept_q - np.eye(size - 1)).max() <= 1e-14
+        rebuilt = kept_q @ kept_r
+        assert np.abs(rebuilt - np.delete(normals, i, axis=1)).max() <= 1e-14 * np.abs(normals).max()
+
+
+def test_a_solve_that_drops_constraints_is_pinned(master_directions, monkeypatch):
+    # generic data on the depth-200 prefix: eight steps, five of them dropping
+    # an active constraint on the way to a three-column support
+    drops = []
+    in_place = tikhonov._drop_column
+    monkeypatch.setattr(tikhonov, "_drop_column", lambda *args: drops.append(in_place(*args)))
+    y = np.random.default_rng(3).standard_normal(3)
+    cert = assert_same_path(TikhonovProblem(mazur(master_directions, 200, 3), y, 0.1))
+    assert len(drops) == 5
+    assert cert.converged and cert.iterations == 8
+    assert cert.support == (38, 58, 181)
 
 
 def mask_kkt_residual(corr, x, alpha):
@@ -585,6 +835,32 @@ def test_convergence_experiment_diagonal_matches_formula():
         assert row.converged
     errors = [r.error_l1 for r in report.rows]
     assert all(b < a for a, b in zip(errors, errors[1:]))
+
+
+@pytest.mark.parametrize(
+    "deltas, alpha_factor",
+    [
+        ([1e-1, 1e-2, 0.0], 1.0),
+        ([1e-1, 1e-2, -1e-3], 1.0),
+        ([1e-1, 1e-2, math.nan], 1.0),
+        ([1e-1, 1e-2, math.inf], 1.0),
+        ([1e-1, 1e-2, 1e308], 10.0),  # alpha overflows
+        ([1e-1, 1e-2, 1e-300], 1e-300),  # alpha underflows to 0
+        ([1e-1, 1e-2], 0.0),
+        ([1e-1, 1e-2], -1.0),
+        ([1e-1, 1e-2], math.nan),
+    ],
+)
+def test_convergence_experiment_checks_every_delta_before_any_solve(
+    monkeypatch, deltas, alpha_factor
+):
+    op = diagonal(lambda k: 1.0 / k, 10, domain_exponent=1.0)
+    x_true = spike(10, 1, 1.0)
+    solves = []
+    monkeypatch.setattr(tikhonov, "solve", lambda *args, **kwargs: solves.append(args))
+    with pytest.raises(ValueError, match="positive finite"):
+        convergence_experiment(op, x_true, deltas, alpha_factor=alpha_factor)
+    assert solves == []
 
 
 def test_convergence_experiment_flags_failure_mode(master_directions):
