@@ -9,7 +9,8 @@ shell.  Indices are 1-based and stable across runs.
 
 An enumeration is stored by columns in a ``DirectionSet``: an int64 canon
 matrix, a support vector, a read-only realized matrix and a 1-based antipode
-array, each shell computed as one numpy block.  Negation maps a shell onto
+array.  Each support is one grid over the entry axis M .. -M, split into
+shells by a stable sort on the largest magnitude.  Negation maps a shell onto
 itself and reverses descending lexicographic order, so the antipode of the
 i-th of a shell's N vectors is its (N-1-i)-th, with no search.  The set
 holds no ``RationalDirection`` items until they are used: indexing builds
@@ -201,30 +202,30 @@ class EnumerationParams:
             raise ValueError("q must satisfy 1 < q < inf")
 
 
-def _shell(support: int, entry: int) -> np.ndarray:
-    # Vectors of exact support `support` and exact max entry `entry`, primitive,
-    # as rows in descending lexicographic order (meshgrid "ij" over a
-    # descending axis varies the last coordinate fastest).  int8 keeps the
-    # temporaries small when it holds +-entry.
-    axis = np.arange(entry, -entry - 1, -1, dtype=np.int8 if entry < 128 else np.int64)
-    grid = np.meshgrid(*[axis] * support, indexing="ij", copy=False)
-    vecs = np.stack(grid, axis=-1).reshape(-1, support)
-    mags = np.abs(vecs)
-    keep = vecs[:, -1] != 0
-    keep &= mags.max(axis=1) == entry
-    keep &= np.gcd.reduce(mags, axis=1) == 1
-    return vecs[keep]
-
-
-def _unit_rows(vecs: np.ndarray, powers: np.ndarray, q: float, out: np.ndarray) -> None:
-    # Writes canon / ||canon||_q row by row into `out` with the constructor's
-    # arithmetic: the same power of each |entry| (powers[m] = m ** q), the
-    # same row sum, and the scalar pow applied once per distinct sum (the
-    # vectorized pow may differ in the last bit).
-    sums = powers[np.abs(vecs)].sum(axis=1)
+def _primitive_rows(support: int, axis: np.ndarray, powers: np.ndarray, q: float):
+    # The primitive vectors of exact support `support` on the descending axis,
+    # shell by shell, their l^q norms and the shell sizes.
+    entry = len(powers) - 1
+    lines = [axis.reshape((-1,) + (1,) * (support - 1 - j)) for j in range(support)]
+    top = gcd = np.abs(lines[0])
+    tuple_index = top.astype(np.min_scalar_type((entry + 1) ** support))  # row in `table`
+    for mag in map(np.abs, lines[1:]):
+        top = np.maximum(top, mag)
+        gcd = np.gcd(gcd, mag)
+        tuple_index = tuple_index * (entry + 1) + mag
+    shell = (top * ((gcd == 1) & (lines[-1] != 0))).reshape(-1)
+    counts = np.bincount(shell, minlength=entry + 1)
+    # C order is descending lexicographic; the stable sort keeps it, dropped points first
+    picked = np.argsort(shell, kind="stable")[counts[0]:]
+    rows = np.stack(np.broadcast_arrays(*lines), -1).reshape(-1, support).take(picked, 0)
+    # The constructor's arithmetic, once per magnitude tuple: the same powers,
+    # the same row sum (C-contiguous: from 8 terms numpy sums pairwise), and the
+    # scalar pow once per distinct sum (the vectorized pow may differ in the last bit).
+    table = np.indices((entry + 1,) * support).reshape(support, -1).T
+    sums = np.ascontiguousarray(powers[table]).sum(axis=1)
     distinct, which = np.unique(sums, return_inverse=True)
-    norms = np.array([float(s ** (1.0 / q)) for s in distinct])
-    np.divide(vecs, norms[which][:, None], out=out)
+    norms = np.array([float(s ** (1.0 / q)) for s in distinct])[which]
+    return rows, norms[tuple_index.reshape(-1)[picked]], counts[1:]
 
 
 def enumerate_directions(params: EnumerationParams) -> DirectionSet:
@@ -234,26 +235,23 @@ def enumerate_directions(params: EnumerationParams) -> DirectionSet:
     entry bound, then descending lexicographic within the shell.  The result
     is a pure function of ``params``.
     """
-    shells = [
-        _shell(support, entry)
-        for support in range(1, params.max_support + 1)
-        for entry in range(1, params.max_entry + 1)
-    ]
-    total = sum(len(block) for block in shells)
-    canon = np.zeros((total, params.max_support), dtype=np.int64)
-    support = np.empty(total, dtype=np.int64)
-    realized = np.zeros((total, params.max_support))
-    antipodes = np.empty(total, dtype=np.int64)
-    powers = np.arange(params.max_entry + 1, dtype=float) ** params.q
-    start = 0
-    for block in shells:
-        end = start + len(block)
-        width = block.shape[1]
-        canon[start:end, :width] = block
-        support[start:end] = width
-        _unit_rows(block, powers, params.q, realized[start:end, :width])
-        antipodes[start:end] = np.arange(end, start, -1)  # the shell's mirror
-        start = end
+    entry, widths = params.max_entry, range(1, params.max_support + 1)
+    axis = np.arange(entry, -entry - 1, -1, dtype=np.int8 if entry < 128 else np.int64)
+    powers = np.arange(entry + 1, dtype=float) ** params.q
+    blocks = [_primitive_rows(width, axis, powers, params.q) for width in widths]
+    sizes = [len(rows) for rows, _, _ in blocks]
+    counts = np.concatenate([shells for _, _, shells in blocks])
+    canon = np.zeros((sum(sizes), params.max_support), dtype=np.int64)
+    realized = np.zeros(canon.shape)
+    for (rows, norms, _), start in zip(blocks, np.cumsum([0, *sizes])):
+        block = np.s_[start : start + len(rows), : rows.shape[1]]
+        canon[block] = rows
+        np.divide(rows, norms[:, None], out=realized[block])
+    del blocks, rows, norms  # before the arrays below, which would pin them in the heap
+    ends = np.cumsum(counts)
+    # a shell mirrors onto itself: of the rows [a, b), row i faces row a + b - 1 - i
+    antipodes = np.repeat(2 * ends - counts, counts) - np.arange(len(canon))
+    support = np.repeat(widths, sizes)
     return DirectionSet(canon, support, realized, antipodes, params.q)
 
 

@@ -53,11 +53,10 @@ SUPPORT_EPS = 1e-12
 
 def _check_data(y: np.ndarray) -> None:
     """Reject data that is not finite or whose objective at x = 0 overflows."""
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y must be finite")
-    with np.errstate(over="ignore"):
-        half_square = 0.5 * float(y @ y)
-    if not math.isfinite(half_square):
+    # np.vdot warns of no overflow; the sum is finite iff y is and its square fits
+    if not math.isfinite(0.5 * float(np.vdot(y, y))):
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y must be finite")
         raise ValueError("y is too large: 0.5*||y||_2^2 overflows")
 
 
@@ -85,11 +84,10 @@ class TikhonovProblem:
             )
         if op.codomain_tag.family != "ell" or op.codomain_tag.exponent != 2.0:
             raise ValueError("problem codomain must be tagged l^2")
-        y = np.asarray(self.y, dtype=float)
+        y = np.array(self.y, dtype=float)
         if y.shape != (op.n_rows,):
             raise ValueError(f"y must have length {op.n_rows}, got {y.shape}")
         _check_data(y)
-        y = y.copy()
         y.flags.writeable = False
         object.__setattr__(self, "y", y)
 
@@ -392,7 +390,11 @@ def minimizer_family_distance(
 
 @dataclass(frozen=True)
 class CollapseRow:
-    """One enumeration depth of the data-approximation experiment."""
+    """One enumeration depth of the data-approximation experiment.
+
+    ``support_index`` and ``beta`` may name either member of an antipodal pair
+    (a_l = -a_k), with opposite signs: the last bit of y - Ax decides.
+    """
 
     depth: int
     support_index: int

@@ -643,3 +643,20 @@ def test_readme_outputs_without_computed_floats_match_their_digest(tmp_path, com
     code, text = run(tmp_path, *shlex.split(command), "--format", fmt)
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == README_DIGESTS[command, fmt]
+
+
+# Enumerate outputs that are no README command, over several supports and
+# entries, made of integers only and pinned the same way
+ENUMERATE_DIGESTS = {
+    ("enumerate --q 3 --support 3 --entry 4", "csv"):
+        "d75b17e6595330851fb89d65f60b88d7a232fdaac58b316062c45c25c4a8bcc1",
+    ("enumerate --q 3 --support 3 --entry 4", "json"):
+        "7cf17e9606783ec42246f0fe4bf2da6a067ab5bdf2a2e39bd150f58bd73458a9",
+}
+
+
+@pytest.mark.parametrize("command, fmt", list(ENUMERATE_DIGESTS))
+def test_enumerate_outputs_match_their_digest(tmp_path, command, fmt):
+    code, text = run(tmp_path, *shlex.split(command), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATE_DIGESTS[command, fmt]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from illposed.directions import (
     DirectionSet,
-    _shell,
     EnumerationParams,
     RationalDirection,
     coverage,
@@ -300,8 +299,27 @@ def test_antipode_array_matches_verbatim_scan_on_small_bounds():
 
 @pytest.mark.parametrize("support, entry", [(1, 128), (2, 127), (2, 128)])
 def test_shell_blocks_match_walk_at_the_int8_edge(support, entry):
-    block = _shell(support, entry)
-    assert [tuple(row) for row in block.tolist()] == _oracle_shell_vectors(support, entry)
+    # the last shell of the enumeration is the one of exact support and entry
+    expected = _oracle_shell_vectors(support, entry)
+    dirs = enumerate_directions(EnumerationParams(2.0, support, entry))
+    last = dirs.canon[len(dirs) - len(expected) :, :support]
+    assert [tuple(row) for row in last.tolist()] == expected
+    assert np.abs(dirs.canon[: len(dirs) - len(expected)]).max() < entry
+
+
+@pytest.mark.parametrize("q", [1.5, 2.5])
+def test_realized_rows_match_constructor_where_numpy_sums_pairwise(q):
+    # From 8 terms numpy's row sum is pairwise, not left to right, so rows of
+    # support 8 and 9 check that the norms keep the constructor's rounding.
+    dirs = enumerate_directions(EnumerationParams(q, 9, 2))
+    starts = np.flatnonzero(np.diff(dirs.antipodes) > 0) + 1  # antipodes fall within a shell
+    sample = sorted({0, len(dirs) - 1, *starts, *(starts - 1), *range(0, len(dirs), 997)})
+    assert len(starts) == 9 * 2 - 2  # support 1 has no shell of entry 2
+    assert {8, 9} <= set(dirs.support[sample].tolist())
+    for i in sample:
+        canon = tuple(int(c) for c in dirs.canon[i, : dirs.support[i]])
+        expected = RationalDirection(canon, i + 1, q).realized
+        assert np.array_equal(dirs.realized[i, : len(canon)], expected), (i, canon)
 
 
 def test_columns_match_items():
