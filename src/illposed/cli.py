@@ -30,6 +30,7 @@ import numpy as np
 from .classify import OPERATORS, build_operator, catalog, check_consistency, classify
 from .directions import (
     EnumerationParams,
+    directions_to_csv,
     directions_to_json,
     enumerate_directions,
 )
@@ -140,14 +141,21 @@ def _directions(args):
 def _parse_vector(spec: str, dim: int, directions, seed: int, option: str) -> np.ndarray:
     """Vector specs: 'random3', 'zeta:K', 'e:K', 'ones', or comma floats.
 
-    Only 'zeta:K' calls ``directions``; 'randomK' and comma vectors must fit
+    Only 'zeta:K' calls ``directions``; with ``dim`` 0 it is as long as its
+    direction's support.  'randomK', comma vectors and 'zeta:K' must fit
     ``dim``.  A malformed number is reported against ``option``.
     """
     if spec.startswith("zeta:"):
         k = _number(spec.partition(":")[2], int, option)
         if not 1 <= k <= len(directions()):
             raise ValueError(f"direction index {k} out of range")
-        return directions()[k - 1].realized_padded(dim)
+        support = int(directions().support[k - 1])
+        dim = dim or support
+        if support > dim:
+            raise ValueError(f"direction {k} does not fit in dimension {dim}")
+        out = np.zeros(dim)
+        out[:support] = directions().realized[k - 1, :support]
+        return out
     if spec.startswith("e:"):
         k = _number(spec.partition(":")[2], int, option)
         if not 1 <= k <= dim:
@@ -177,17 +185,13 @@ def cmd_enumerate(args) -> int:
     if args.format == "json":
         _write(directions_to_json(directions) + "\n", args.out)
     else:
-        header = ["index", "canon", "q"]
-        rows = [
-            [d.index, ";".join(str(c) for c in d.canon), d.q] for d in directions
-        ]
-        _write(csv_report(header, rows), args.out)
+        _write(directions_to_csv(directions), args.out)
     return EXIT_OK
 
 
 def _theorem_case(directions, op, k, lam, alpha, tol, gammas):
     n_rows = op.n_rows
-    y = lam * directions[k - 1].realized_padded(n_rows)
+    y = lam * directions.realized[k - 1, :n_rows]
     problem = TikhonovProblem(op, y, alpha)
     cert = solve(problem, tol=tol, max_iter=50000)
     deviation = minimizer_family_distance(

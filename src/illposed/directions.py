@@ -8,24 +8,24 @@ extends a run with smaller ones and antipodal vectors always land in the same
 shell.  Indices are 1-based and stable across runs.
 
 An enumeration is stored by columns in a ``DirectionSet``: an int64 canon
-matrix, a support vector, a read-only realized matrix and a 1-based antipode
+matrix, a support vector, a read-only realized matrix in Fortran order (its
+transpose is the Mazur matrix, shared, not copied) and a 1-based antipode
 array.  Each support is one grid over the entry axis M .. -M, split into
 shells by a stable sort on the largest magnitude.  Negation maps a shell onto
 itself and reverses descending lexicographic order, so the antipode of the
-i-th of a shell's N vectors is its (N-1-i)-th, with no search.  The set
-holds no ``RationalDirection`` items until they are used: indexing builds
-one from its row, iteration builds them in order, and each reads its
-``realized`` as a row view of the shared matrix.
+i-th of a shell's N vectors is its (N-1-i)-th, with no search.  Items are
+thin row handles that read their row of the arrays on demand.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -35,52 +35,66 @@ __all__ = [
     "EnumerationParams",
     "enumerate_directions",
     "coverage",
+    "directions_to_csv",
     "directions_to_json",
 ]
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class RationalDirection:
+class RationalDirection(tuple):
     """A canonical integer vector and its unit realization in l^q.
 
-    ``canon`` is trailing-zero trimmed, nonzero, and primitive.  Two
-    directions are equal exactly when their canon tuples are equal; the
-    floating-point realization never enters comparisons.
+    A thin row handle ``(support, index, row, source)``: ``canon``,
+    ``realized`` and ``q`` are read from row ``row`` of ``source = (canon
+    matrix, realized matrix, q)``, which every row of a set shares; the
+    constructor builds a one-row source.  ``canon`` is trailing-zero trimmed,
+    nonzero, and primitive.  Two directions are equal exactly when their canon
+    tuples are equal; the floating-point realization never enters comparisons.
     """
 
-    canon: tuple[int, ...]
-    index: int
-    q: float = 2.0
-    realized: np.ndarray = field(init=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.canon or self.canon[-1] == 0:
+    support = property(itemgetter(0), doc="Largest 1-based coordinate with a nonzero entry.")
+    index = property(itemgetter(1), doc="1-based index in the enumeration.")
+    q = property(lambda row: row[3][2], doc="The exponent of the sphere.")
+
+    def __new__(cls, canon: tuple[int, ...], index: int, q: float = 2.0):
+        if not canon or canon[-1] == 0:
             raise ValueError("canon must be nonzero with no trailing zeros")
-        if any(not isinstance(c, int) for c in self.canon):
+        if any(not isinstance(c, int) for c in canon):
             raise ValueError("canon entries must be integers")
-        if math.gcd(*[abs(c) for c in self.canon]) != 1:
-            raise ValueError(f"canon {self.canon} is not primitive")
-        if self.index < 1:
+        if math.gcd(*[abs(c) for c in canon]) != 1:
+            raise ValueError(f"canon {tuple(canon)} is not primitive")
+        if index < 1:
             raise ValueError("index must be a positive integer")
-        if not 1.0 < self.q < math.inf:
+        if not 1.0 < q < math.inf:
             raise ValueError("q must satisfy 1 < q < inf")
-        vec = np.array(self.canon, dtype=float)
-        norm = float(np.sum(np.abs(vec) ** self.q) ** (1.0 / self.q))
+        vec = np.array(canon, dtype=float)
+        norm = float(np.sum(np.abs(vec) ** q) ** (1.0 / q))
         vec /= norm
         vec.flags.writeable = False
-        object.__setattr__(self, "realized", vec)
+        source = (np.array([canon], dtype=np.int64), vec[None], q)
+        return tuple.__new__(cls, (len(canon), index, 0, source))
+
+    def __getnewargs__(self):
+        return self.canon, self.index, self.q
 
     @property
-    def support(self) -> int:
-        """Largest coordinate index (1-based) carrying a nonzero entry."""
-        return len(self.canon)
+    def canon(self) -> tuple[int, ...]:
+        support, _, row, source = self
+        return tuple(source[0][row, :support].tolist())
+
+    @property
+    def realized(self) -> np.ndarray:
+        """A read-only view of the row of the shared realized matrix."""
+        support, _, row, source = self
+        return source[1][row, :support]
 
     def antipode_canon(self) -> tuple[int, ...]:
         return tuple(-c for c in self.canon)
 
     def realized_padded(self, dim: int) -> np.ndarray:
         out = np.zeros(dim)
-        out[: len(self.canon)] = self.realized
+        out[: self.support] = self.realized
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -88,15 +102,17 @@ class RationalDirection:
             return NotImplemented
         return self.canon == other.canon
 
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's field-wise test
+
     def __hash__(self) -> int:
         return hash(self.canon)
 
+    def __repr__(self) -> str:
+        return f"RationalDirection(canon={self.canon}, index={self.index}, q={self.q})"
 
-_new_direction = object.__new__
-_SETTERS = tuple(
-    getattr(RationalDirection, name).__set__
-    for name in ("canon", "index", "q", "realized")
-)
+
+# a row handle from its fields; the enumeration validated them block-wise
+_row_handle = partial(tuple.__new__, RationalDirection)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -112,17 +128,19 @@ class DirectionSet(Sequence):
     Row i of each array describes item i (direction index ``i + 1`` for an
     enumeration): ``canon`` is the zero-padded int64 canon matrix,
     ``support`` the support vector, ``realized`` the zero-padded unit
-    realization, and ``antipodes`` the 1-based position of the opposite
-    direction within the set, 0 when it is absent.  All four are read-only.
+    realization (Fortran order from an enumeration), and ``antipodes`` the
+    1-based position of the opposite direction within the set, 0 when it is
+    absent.  All four are read-only.
     Indexing and iteration behave as on a list of ``RationalDirection``.
     The only slices are prefixes ``dirs[:n]``, which share the arrays; any
     other slice raises ValueError.  ``enumerate_directions`` builds one.
 
-    Items are built from the rows on demand.  Iteration appends the items
-    not yet built to ``_table``, in order (``_table[i]`` is item i), and a
-    prefix slice shares that table with its parent, so iterating any number
-    of prefixes builds each item once.  An integer index past the table
-    builds the one item without storing it.
+    Items are thin row handles on the arrays, built on demand.  Iteration
+    appends the handles not yet built to ``_table``, in order (``_table[i]``
+    is item i), and a prefix slice shares that table with its parent, so
+    iterating any number of prefixes builds each handle once.  An integer
+    index past the table builds the one handle without storing it.  A handle
+    holds the arrays, never the set, so reference counting alone frees both.
     """
 
     canon: np.ndarray
@@ -139,24 +157,10 @@ class DirectionSet(Sequence):
     def __len__(self) -> int:
         return len(self.support)
 
-    def _items(self, start: int, stop: int) -> list[RationalDirection]:
-        # The items of rows start .. stop - 1 (start < stop), one bulk pass per
-        # run of equal support: allocate the run's items, then set each slot
-        # across the run (deque(..., 0) only drains the map).  The enumeration
-        # validated the fields block-wise, so __post_init__ is skipped.
-        set_canon, set_index, set_q, set_realized = _SETTERS
-        cuts = (np.flatnonzero(np.diff(self.support[start:stop])) + start + 1).tolist()
-        built: list[RationalDirection] = []
-        for lo, hi in zip([start, *cuts], [*cuts, stop]):
-            width = int(self.support[lo])
-            items = list(map(_new_direction, repeat(RationalDirection, hi - lo)))
-            canons = zip(*[column.tolist() for column in self.canon[lo:hi, :width].T])
-            deque(map(set_canon, items, canons), 0)
-            deque(map(set_index, items, range(lo + 1, hi + 1)), 0)
-            deque(map(set_q, items, repeat(self.q)), 0)
-            deque(map(set_realized, items, self.realized[lo:hi, :width]), 0)
-            built += items
-        return built
+    def _items(self, start: int, stop: int):
+        # the handles of rows start .. stop - 1, lazily
+        fields = self.support[start:stop].tolist(), range(start + 1, stop + 1), range(start, stop)
+        return map(_row_handle, zip(*fields, repeat((self.canon, self.realized, self.q))))
 
     def __iter__(self):
         n = len(self)
@@ -170,7 +174,7 @@ class DirectionSet(Sequence):
             row = range(n)[key]
             if row < len(self._table):
                 return self._table[row]
-            return self._items(row, row + 1)[0]
+            return next(self._items(row, row + 1))
         start, stop, step = key.indices(n)
         if start != 0 or step != 1:
             raise ValueError(f"only prefix slices dirs[:n] are supported, not {key}")
@@ -242,29 +246,36 @@ def enumerate_directions(params: EnumerationParams) -> DirectionSet:
     sizes = [len(rows) for rows, _, _ in blocks]
     counts = np.concatenate([shells for _, _, shells in blocks])
     canon = np.zeros((sum(sizes), params.max_support), dtype=np.int64)
-    realized = np.zeros(canon.shape)
+    columns = np.zeros(canon.shape[::-1])  # realized by columns, as mazur lays it out
     for (rows, norms, _), start in zip(blocks, np.cumsum([0, *sizes])):
-        block = np.s_[start : start + len(rows), : rows.shape[1]]
-        canon[block] = rows
-        np.divide(rows, norms[:, None], out=realized[block])
+        width, stop = rows.shape[1], start + len(rows)
+        canon[start:stop, :width] = rows
+        np.divide(rows.T, norms, out=columns[:width, start:stop])
+    columns.flags.writeable = False
     del blocks, rows, norms  # before the arrays below, which would pin them in the heap
     ends = np.cumsum(counts)
     # a shell mirrors onto itself: of the rows [a, b), row i faces row a + b - 1 - i
     antipodes = np.repeat(2 * ends - counts, counts) - np.arange(len(canon))
     support = np.repeat(widths, sizes)
-    return DirectionSet(canon, support, realized, antipodes, params.q)
+    return DirectionSet(canon, support, columns.T, antipodes, params.q)
 
 
 def realized_matrix(directions: DirectionSet, n_rows: int) -> np.ndarray:
-    """Stack realized directions as columns of an ``n_rows x len(directions)`` array."""
+    """Stack realized directions as columns of an ``n_rows x len(directions)`` array.
+
+    Where the set's own ``realized.T`` is that array, it is returned, read-only.
+    """
     needed = int(directions.support.max(initial=0))
     if n_rows < needed:
         raise ValueError(
             f"support overflow: direction needs {needed} rows, truncation has {n_rows}"
         )
-    width = min(n_rows, directions.realized.shape[1])
+    columns = directions.realized.T
+    if n_rows == len(columns) and columns.flags.c_contiguous:
+        return columns  # the set's own read-only matrix
+    width = min(n_rows, len(columns))
     mat = np.zeros((n_rows, len(directions)))
-    mat[:width] = directions.realized[:, :width].T
+    mat[:width] = columns[:width]
     return mat
 
 
@@ -292,7 +303,28 @@ def coverage(directions: DirectionSet, y: np.ndarray) -> tuple[int, float]:
     return best + 1, float(corr[best])
 
 
-def directions_to_json(directions: DirectionSet) -> str:
-    records = [{"index": d.index, "canon": list(d.canon), "q": d.q} for d in directions]
-    return json.dumps(records, indent=2)
+def _row_texts(directions: DirectionSet, template, sep: str) -> str:
+    # ``template(width) % (index, *canon)`` for every row, joined by ``sep``,
+    # filled one block of equal support at a time from the columns
+    starts = np.flatnonzero(np.diff(directions.support, prepend=0)).tolist()
+    blocks = []
+    for lo, hi in zip(starts, [*starts[1:], len(directions)]):
+        width = int(directions.support[lo])
+        cells = np.column_stack([np.arange(lo + 1, hi + 1), directions.canon[lo:hi, :width]])
+        blocks.append(sep.join([template(width)] * (hi - lo)) % tuple(cells.ravel().tolist()))
+    return sep.join(blocks)
 
+
+def directions_to_csv(directions: DirectionSet) -> str:
+    """The ``index,canon,q`` table, canon entries joined by ``;``."""
+    q = f"{directions.q:.17g}"
+    row = _row_texts(directions, lambda width: "%d," + ";".join(["%d"] * width) + f",{q}\n", "")
+    return "index,canon,q\n" + row
+
+
+def directions_to_json(directions: DirectionSet) -> str:
+    """The records ``{"index", "canon", "q"}`` as ``json.dumps(records, indent=2)`` writes them."""
+    q = json.dumps(directions.q)
+    head, tail = '  {\n    "index": %d,\n    "canon": [\n', f'\n    ],\n    "q": {q}\n  }}'
+    records = _row_texts(directions, lambda w: head + ",\n".join(["      %d"] * w) + tail, ",\n")
+    return f"[\n{records}\n]" if directions else "[]"

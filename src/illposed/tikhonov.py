@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .directions import DirectionSet, coverage
+from .directions import DirectionSet
 from .operators import TruncatedOperator, mazur
 
 __all__ = [
@@ -448,8 +448,12 @@ def collapse_experiment(
         raise ValueError("depths must be positive")
     if any(j < 1 for j in probe_indices):
         raise ValueError("probe indices must be >= 1")
-    _, top = coverage(directions[:max_depth], y)
-    if top > 1.0 - 1e-9:
+    if directions.q != 2.0:
+        raise ValueError("collapse experiment needs directions on the unit sphere of l^2")
+    # the best correlation of y / ||y||_2 with the prefix, read from the rows
+    yhat = np.zeros(directions.realized.shape[1])
+    yhat[: len(y)] = y[: len(yhat)] / norm_y
+    if float(np.max(directions.realized[:max_depth] @ yhat)) > 1.0 - 1e-9:
         raise ValueError("y is (numerically) proportional to an enumerated direction")
     rows: list[CollapseRow] = []
     for depth in depth_schedule:

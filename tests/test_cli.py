@@ -153,6 +153,19 @@ def test_vector_longer_than_operator_exits_2(tmp_path, capsys, argv):
     assert "vector longer than dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["probe", "--operator", "B", "--eta", "zeta:3", "--n", "1"], "does not fit in dimension 1"),
+        (["collapse", "--y", "zeta:5", "--depths", "50"], "proportional to an enumerated direction"),
+    ],
+)
+def test_zeta_data_that_cannot_be_used_exits_2(tmp_path, capsys, argv, message):
+    code, text = run(tmp_path, *argv)
+    assert code == 2 and text == ""
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("eta", ["random0", "0,0"])
 def test_probe_rejects_zero_functional(tmp_path, capsys, eta):
     code, text = run(tmp_path, "probe", "--operator", "B", "--eta", eta, "--n", "50")
@@ -598,6 +611,22 @@ def _readme_commands():
     ]
 
 
+def test_readme_library_tour_runs_and_matches_its_comments():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = re.search(r"## Library quick tour\n\n```python\n(.*?)```", readme, flags=re.S).group(1)
+    namespace: dict = {}
+    exec(tour, namespace)
+    commented = [line.partition("#")[0] for line in tour.splitlines() if "#" in line]
+    (support, residual), distance, verdict, persistence = [
+        eval(expr, namespace) for expr in commented
+    ]
+    assert support == (17,) and residual <= 1e-12 and namespace["cert"].converged
+    assert distance <= 1e-15
+    posedness = namespace["ip"].classify(namespace["B"].attributes)
+    assert verdict.value == "IllPosedTypeI" and posedness.hybrid
+    assert persistence == "persists"
+
+
 def test_reports_are_deterministic(tmp_path):
     for args in (
         ["enumerate", "--support", "2", "--entry", "2"],
@@ -652,6 +681,10 @@ ENUMERATE_DIGESTS = {
         "d75b17e6595330851fb89d65f60b88d7a232fdaac58b316062c45c25c4a8bcc1",
     ("enumerate --q 3 --support 3 --entry 4", "json"):
         "7cf17e9606783ec42246f0fe4bf2da6a067ab5bdf2a2e39bd150f58bd73458a9",
+    ("enumerate --q 1.5 --support 4 --entry 3", "csv"):
+        "ae836a2cc5320df2cd58cb728ee72a9a9e375bed77d938cf3f2b2545dfe587a8",
+    ("enumerate --q 1.5 --support 4 --entry 3", "json"):
+        "863e20de8fe5e243573b6479e46fdb47873f19f7721e367f98130e9420c2e3f8",
 }
 
 

@@ -1,6 +1,10 @@
+import copy
+import gc
 import itertools
 import json
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from illposed.directions import (
     EnumerationParams,
     RationalDirection,
     coverage,
+    directions_to_csv,
     directions_to_json,
     enumerate_directions,
 )
@@ -423,3 +428,70 @@ def test_indexed_item_out_of_range_raises_index_error():
     with pytest.raises(IndexError):
         dirs[:3][3]
     assert dirs[:3][-1] == dirs[2]
+
+
+# Items are thin row handles on the set's arrays: (support, index, row, source)
+
+
+def test_iterated_enumeration_is_freed_by_reference_counting():
+    # a handle that held its set would close a cycle set -> table -> handle -> set,
+    # which only the cyclic collector frees
+    dirs = enumerate_directions(EnumerationParams(2.0, 3, 4))
+    gc.disable()
+    try:
+        assert len(list(dirs)) == len(dirs) and len(list(dirs[:10])) == 10
+        canon = weakref.ref(dirs.canon)
+        del dirs
+        assert canon() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0])
+def test_row_handles_read_their_row(q):
+    dirs = enumerate_directions(EnumerationParams(q, 3, 4))
+    indexed = [dirs[i] for i in range(len(dirs))]  # before iteration: not stored
+    iterated = list(dirs)
+    for i in (0, 1, 57, len(dirs) - 1):
+        for row in (indexed[i], iterated[i], dirs[i]):
+            s = int(dirs.support[i])
+            assert type(row.support) is int and type(row.index) is int
+            assert (row.support, row.index, row.q) == (s, i + 1, q)
+            assert hash(row) == hash(RationalDirection(row.canon, row.index, row.q))
+            assert not row.realized.flags.writeable
+            assert np.shares_memory(row.realized, dirs.realized)
+            assert row.realized.tobytes() == dirs.realized[i, :s].tobytes()
+            assert row == RationalDirection(row.canon, 99, q)
+            assert not row != RationalDirection(row.canon, 99, q)
+
+
+def test_standalone_direction_is_a_one_row_handle():
+    d = RationalDirection((3, -4), index=7, q=2.0)
+    assert (d.support, d.index, d.q, d.canon) == (2, 7, 2.0, (3, -4))
+    assert type(d.canon[0]) is int
+    np.testing.assert_array_equal(d.realized, [0.6, -0.8])
+    np.testing.assert_array_equal(d.realized_padded(4), [0.6, -0.8, 0.0, 0.0])
+    assert repr(d) == "RationalDirection(canon=(3, -4), index=7, q=2.0)"
+    for copied in (pickle.loads(pickle.dumps(d)), copy.copy(d)):
+        assert copied == d and copied.index == 7 and copied.realized.tobytes() == d.realized.tobytes()
+    with pytest.raises(ValueError):
+        d.realized.flags.writeable = True
+
+
+def _json_oracle(directions):
+    return json.dumps([{"index": d.index, "canon": list(d.canon), "q": d.q} for d in directions], indent=2)
+
+
+def _csv_oracle(directions):
+    rows = [f"{d.index},{';'.join(map(str, d.canon))},{d.q:.17g}\n" for d in directions]
+    return "index,canon,q\n" + "".join(rows)
+
+
+@pytest.mark.parametrize("q, bounds", [(2.0, (1, 1)), (1.5, (4, 3)), (3.0, (3, 5)), (2.5, (5, 2))])
+def test_column_writers_match_the_item_writers(q, bounds):
+    params = EnumerationParams(q, *bounds)
+    dirs = enumerate_directions(params)
+    oracle = _oracle_enumeration(params)
+    for n in (0, 1, len(dirs) // 2, len(dirs)):
+        assert directions_to_json(dirs[:n]) == _json_oracle(oracle[:n])
+        assert directions_to_csv(dirs[:n]) == _csv_oracle(oracle[:n])

@@ -38,6 +38,24 @@ def test_mazur_columns_are_realized_directions(master_directions):
         )
 
 
+def test_mazur_of_a_whole_enumeration_shares_its_realized_matrix():
+    # the enumeration stores realized by columns, so realized.T is the matrix
+    dirs = enumerate_directions(EnumerationParams(2.0, 3, 4))
+    whole = mazur(dirs, len(dirs), 3)
+    assert np.shares_memory(whole.entries, dirs.realized)
+    assert whole.entries.flags.c_contiguous and not whole.entries.flags.writeable
+    assert not dirs.realized.base.flags.writeable
+    prefix = mazur(dirs, 50, 3)
+    assert not np.shares_memory(prefix.entries, dirs.realized)
+    np.testing.assert_array_equal(prefix.entries, whole.entries[:, :50])
+    wider = mazur(dirs, len(dirs), 5)
+    assert not np.shares_memory(wider.entries, dirs.realized)
+    np.testing.assert_array_equal(wider.entries[:3], whole.entries)
+    assert not wider.entries[3:].any()
+    for k in (1, 17, len(dirs)):
+        np.testing.assert_array_equal(whole.entries[:, k - 1], dirs[k - 1].realized_padded(3))
+
+
 def test_mazur_declared_structure(master_directions):
     at = mazur(master_directions, 20, 3).attributes
     assert at.strictly_singular is True

@@ -870,3 +870,16 @@ def test_convergence_experiment_flags_failure_mode(master_directions):
     report = convergence_experiment(op, x_true, [1e-1, 1e-3], tol=1e-8)
     assert report.guaranteed is False
     assert len({r.support_index for r in report.rows}) > 1
+
+
+def test_collapse_rejects_data_along_a_direction_of_its_prefix(master_directions):
+    # the check reads the realized rows of the deepest prefix; y may be longer
+    y = master_directions[39].realized_padded(5)
+    with pytest.raises(ValueError, match="proportional"):
+        collapse_experiment(master_directions, y, 0.1, [30, 40])
+    (row,) = collapse_experiment(master_directions, y, 0.1, [30])
+    assert row.depth == 30 and row.converged
+    with pytest.raises(ValueError, match="l\\^2"):
+        collapse_experiment(
+            enumerate_directions(EnumerationParams(3.0, 2, 2)), np.array([1.0, 0.3]), 0.1, [5]
+        )
