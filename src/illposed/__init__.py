@@ -17,7 +17,6 @@ from .classify import (
 from .directions import (
     DirectionSet,
     EnumerationParams,
-    RationalDirection,
     coverage,
     directions_to_json,
     enumerate_directions,

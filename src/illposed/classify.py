@@ -21,6 +21,10 @@ from dataclasses import dataclass
 
 from .directions import DirectionSet, EnumerationParams, enumerate_directions
 from .operators import (
+    DIAGONAL_ATTRIBUTES,
+    EMBEDDING_ATTRIBUTES,
+    INJECTIVE_COUNTEREXAMPLE_ATTRIBUTES,
+    MAZUR_ATTRIBUTES,
     OperatorAttributes,
     TruncatedOperator,
     block_product,
@@ -172,48 +176,21 @@ def catalog() -> list[CatalogEntry]:
         CatalogEntry(
             "B",
             "surjection of l1 onto l2 along a dense unit-sphere direction sequence",
-            OperatorAttributes(
-                range_closed=True,
-                range_has_closed_infdim_subspace=True,
-                nullspace_complemented=False,
-                strictly_singular=True,
-                compact=False,
-                injective=False,
-                surjective=True,
-                weakstar_to_weak_continuous=False,
-            ),
+            MAZUR_ATTRIBUTES,
             Verdict.TYPE_I,
             True,
         ),
         CatalogEntry(
             "E2p",
             "embedding of l2 into l4",
-            OperatorAttributes(
-                range_closed=False,
-                range_has_closed_infdim_subspace=False,
-                nullspace_complemented=True,
-                strictly_singular=True,
-                compact=False,
-                injective=True,
-                surjective=False,
-                weakstar_to_weak_continuous=True,
-            ),
+            EMBEDDING_ATTRIBUTES,
             Verdict.TYPE_II,
             False,
         ),
         CatalogEntry(
             "diag",
             "compact injective diagonal with vanishing weights",
-            OperatorAttributes(
-                range_closed=False,
-                range_has_closed_infdim_subspace=False,
-                nullspace_complemented=True,
-                strictly_singular=True,
-                compact=True,
-                injective=True,
-                surjective=False,
-                weakstar_to_weak_continuous=True,
-            ),
+            DIAGONAL_ATTRIBUTES,
             Verdict.TYPE_II,
             False,
         ),
@@ -316,16 +293,7 @@ def catalog() -> list[CatalogEntry]:
         CatalogEntry(
             "inj",
             "summing row plus decaying diagonal: injective with unbounded inverse",
-            OperatorAttributes(
-                range_closed=False,
-                range_has_closed_infdim_subspace=False,
-                nullspace_complemented=True,
-                strictly_singular=True,
-                compact=True,
-                injective=True,
-                surjective=False,
-                weakstar_to_weak_continuous=False,
-            ),
+            INJECTIVE_COUNTEREXAMPLE_ATTRIBUTES,
             Verdict.TYPE_II,
             False,
         ),

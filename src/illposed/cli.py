@@ -141,9 +141,11 @@ def _directions(args):
 def _parse_vector(spec: str, dim: int, directions, seed: int, option: str) -> np.ndarray:
     """Vector specs: 'random3', 'zeta:K', 'e:K', 'ones', or comma floats.
 
-    Only 'zeta:K' calls ``directions``; with ``dim`` 0 it is as long as its
-    direction's support.  'randomK', comma vectors and 'zeta:K' must fit
-    ``dim``.  A malformed number is reported against ``option``.
+    With ``dim`` 0 (collapse ``--y``), 'zeta:K' is as long as its direction's
+    support, and 'e:K' and 'ones' are as wide as the enumeration; all three
+    are then enumerated directions, which collapse rejects, so its ``--y``
+    needs 'randomK' or a comma list.  'randomK', comma vectors and 'zeta:K'
+    must fit ``dim``.  A malformed number is reported against ``option``.
     """
     if spec.startswith("zeta:"):
         k = _number(spec.partition(":")[2], int, option)
@@ -158,13 +160,14 @@ def _parse_vector(spec: str, dim: int, directions, seed: int, option: str) -> np
         return out
     if spec.startswith("e:"):
         k = _number(spec.partition(":")[2], int, option)
+        dim = dim or directions().canon.shape[1]
         if not 1 <= k <= dim:
             raise ValueError(f"basis index {k} out of range for dim {dim}")
         out = np.zeros(dim)
         out[k - 1] = 1.0
         return out
     if spec == "ones":
-        return np.ones(dim)
+        return np.ones(dim or directions().canon.shape[1])
     if spec.startswith("random"):
         size = _number(spec[len("random"):], int, option)
         if size < 0:

@@ -14,14 +14,13 @@ array.  Each support is one grid over the entry axis M .. -M, split into
 shells by a stable sort on the largest magnitude.  Negation maps a shell onto
 itself and reverses descending lexicographic order, so the antipode of the
 i-th of a shell's N vectors is its (N-1-i)-th, with no search.  Items are
-thin row handles that read their row of the arrays on demand.
+bare row handles that read their row on demand and compare by identity.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice, repeat
@@ -30,7 +29,6 @@ from operator import itemgetter
 import numpy as np
 
 __all__ = [
-    "RationalDirection",
     "DirectionSet",
     "EnumerationParams",
     "enumerate_directions",
@@ -40,43 +38,20 @@ __all__ = [
 ]
 
 
-class RationalDirection(tuple):
-    """A canonical integer vector and its unit realization in l^q.
+class _Row(tuple):
+    """Row ``row`` of an enumeration as ``(support, index, row, source)``.
 
-    A thin row handle ``(support, index, row, source)``: ``canon``,
-    ``realized`` and ``q`` are read from row ``row`` of ``source = (canon
-    matrix, realized matrix, q)``, which every row of a set shares; the
-    constructor builds a one-row source.  ``canon`` is trailing-zero trimmed,
-    nonzero, and primitive.  Two directions are equal exactly when their canon
-    tuples are equal; the floating-point realization never enters comparisons.
+    ``source = (canon matrix, realized matrix, q)`` is shared by every row of
+    a set, and ``canon`` and ``realized`` are read from it on demand.  Rows
+    compare and hash by identity, so no comparison touches the shared arrays.
     """
 
     __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     support = property(itemgetter(0), doc="Largest 1-based coordinate with a nonzero entry.")
     index = property(itemgetter(1), doc="1-based index in the enumeration.")
     q = property(lambda row: row[3][2], doc="The exponent of the sphere.")
-
-    def __new__(cls, canon: tuple[int, ...], index: int, q: float = 2.0):
-        if not canon or canon[-1] == 0:
-            raise ValueError("canon must be nonzero with no trailing zeros")
-        if any(not isinstance(c, int) for c in canon):
-            raise ValueError("canon entries must be integers")
-        if math.gcd(*[abs(c) for c in canon]) != 1:
-            raise ValueError(f"canon {tuple(canon)} is not primitive")
-        if index < 1:
-            raise ValueError("index must be a positive integer")
-        if not 1.0 < q < math.inf:
-            raise ValueError("q must satisfy 1 < q < inf")
-        vec = np.array(canon, dtype=float)
-        norm = float(np.sum(np.abs(vec) ** q) ** (1.0 / q))
-        vec /= norm
-        vec.flags.writeable = False
-        source = (np.array([canon], dtype=np.int64), vec[None], q)
-        return tuple.__new__(cls, (len(canon), index, 0, source))
-
-    def __getnewargs__(self):
-        return self.canon, self.index, self.q
 
     @property
     def canon(self) -> tuple[int, ...]:
@@ -89,30 +64,14 @@ class RationalDirection(tuple):
         support, _, row, source = self
         return source[1][row, :support]
 
-    def antipode_canon(self) -> tuple[int, ...]:
-        return tuple(-c for c in self.canon)
-
     def realized_padded(self, dim: int) -> np.ndarray:
         out = np.zeros(dim)
         out[: self.support] = self.realized
         return out
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalDirection):
-            return NotImplemented
-        return self.canon == other.canon
-
-    __ne__ = object.__ne__  # the negation of __eq__, not tuple's field-wise test
-
-    def __hash__(self) -> int:
-        return hash(self.canon)
-
-    def __repr__(self) -> str:
-        return f"RationalDirection(canon={self.canon}, index={self.index}, q={self.q})"
-
 
 # a row handle from its fields; the enumeration validated them block-wise
-_row_handle = partial(tuple.__new__, RationalDirection)
+_row_handle = partial(tuple.__new__, _Row)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -122,7 +81,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
-class DirectionSet(Sequence):
+class DirectionSet:
     """An immutable sequence of directions stored by columns.
 
     Row i of each array describes item i (direction index ``i + 1`` for an
@@ -130,17 +89,19 @@ class DirectionSet(Sequence):
     ``support`` the support vector, ``realized`` the zero-padded unit
     realization (Fortran order from an enumeration), and ``antipodes`` the
     1-based position of the opposite direction within the set, 0 when it is
-    absent.  All four are read-only.
-    Indexing and iteration behave as on a list of ``RationalDirection``.
-    The only slices are prefixes ``dirs[:n]``, which share the arrays; any
-    other slice raises ValueError.  ``enumerate_directions`` builds one.
+    absent.  All four are read-only.  The only slices are prefixes
+    ``dirs[:n]``, which share the arrays; any other slice raises ValueError.
+    ``enumerate_directions`` builds one.
 
-    Items are thin row handles on the arrays, built on demand.  Iteration
-    appends the handles not yet built to ``_table``, in order (``_table[i]``
-    is item i), and a prefix slice shares that table with its parent, so
-    iterating any number of prefixes builds each handle once.  An integer
-    index past the table builds the one handle without storing it.  A handle
-    holds the arrays, never the set, so reference counting alone frees both.
+    Items are row handles on the arrays (``support``, ``index``, ``q``,
+    ``canon``, ``realized``, ``realized_padded``), built on demand and
+    compared and hashed by identity, so two handles of one row may differ.
+    Iteration appends the handles not yet built to ``_table``, in order
+    (``_table[i]`` is item i), and a prefix slice shares that table with its
+    parent, so iterating any number of prefixes builds each handle once.  An
+    integer index past the table builds the one handle without storing it.
+    A handle holds the arrays, never the set, so reference counting alone
+    frees both.
     """
 
     canon: np.ndarray
@@ -148,7 +109,7 @@ class DirectionSet(Sequence):
     realized: np.ndarray
     antipodes: np.ndarray
     q: float
-    _table: list[RationalDirection] = field(default_factory=list)
+    _table: list[_Row] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         for name in ("canon", "support", "realized", "antipodes"):
@@ -222,7 +183,7 @@ def _primitive_rows(support: int, axis: np.ndarray, powers: np.ndarray, q: float
     # C order is descending lexicographic; the stable sort keeps it, dropped points first
     picked = np.argsort(shell, kind="stable")[counts[0]:]
     rows = np.stack(np.broadcast_arrays(*lines), -1).reshape(-1, support).take(picked, 0)
-    # The constructor's arithmetic, once per magnitude tuple: the same powers,
+    # float(sum(|v|**q) ** (1/q)) once per magnitude tuple: the same powers,
     # the same row sum (C-contiguous: from 8 terms numpy sums pairwise), and the
     # scalar pow once per distinct sum (the vectorized pow may differ in the last bit).
     table = np.indices((entry + 1,) * support).reshape(support, -1).T

@@ -53,13 +53,6 @@ class SpaceTag:
     def product(left: "SpaceTag", right: "SpaceTag") -> "SpaceTag":
         return SpaceTag("product", None, left.dim + right.dim, (left, right))
 
-    def compatible(self, other: "SpaceTag") -> bool:
-        if self.family != other.family or self.dim != other.dim:
-            return False
-        if self.family == "ell":
-            return self.exponent == other.exponent
-        return all(a.compatible(b) for a, b in zip(self.parts, other.parts))
-
 
 @dataclass(frozen=True)
 class OperatorAttributes:
@@ -153,6 +146,45 @@ class TruncatedOperator:
         return self.entries.shape[1]
 
 
+# The declared structure of the base operators, shared with the catalog.
+MAZUR_ATTRIBUTES = OperatorAttributes(
+    range_closed=True,
+    range_has_closed_infdim_subspace=True,
+    nullspace_complemented=False,
+    strictly_singular=True,
+    compact=False,
+    injective=False,
+    surjective=True,
+    weakstar_to_weak_continuous=False,
+)
+EMBEDDING_ATTRIBUTES = OperatorAttributes(
+    range_closed=False,
+    range_has_closed_infdim_subspace=False,
+    strictly_singular=True,
+    compact=False,
+    injective=True,
+    surjective=False,
+    weakstar_to_weak_continuous=True,
+).normalized()
+DIAGONAL_ATTRIBUTES = OperatorAttributes(
+    range_closed=False,
+    compact=True,
+    injective=True,
+    surjective=False,
+    weakstar_to_weak_continuous=True,
+).normalized()
+INJECTIVE_COUNTEREXAMPLE_ATTRIBUTES = OperatorAttributes(
+    range_closed=False,
+    range_has_closed_infdim_subspace=False,
+    nullspace_complemented=True,
+    strictly_singular=True,
+    compact=True,
+    injective=True,
+    surjective=False,
+    weakstar_to_weak_continuous=False,
+)
+
+
 def mazur(directions: DirectionSet, n_cols: int, n_rows: int) -> TruncatedOperator:
     """Truncation of the surjection of l^1 onto l^q built from unit directions.
 
@@ -163,21 +195,11 @@ def mazur(directions: DirectionSet, n_cols: int, n_rows: int) -> TruncatedOperat
     if n_cols < 1 or n_cols > len(directions):
         raise ValueError(f"n_cols must be in 1..{len(directions)}")
     entries = realized_matrix(directions[:n_cols], n_rows)
-    attrs = OperatorAttributes(
-        range_closed=True,
-        range_has_closed_infdim_subspace=True,
-        nullspace_complemented=False,
-        strictly_singular=True,
-        compact=False,
-        injective=False,
-        surjective=True,
-        weakstar_to_weak_continuous=False,
-    )
     return TruncatedOperator(
         entries,
         SpaceTag.ell(1.0, n_cols),
         SpaceTag.ell(directions.q, n_rows),
-        attrs,
+        MAZUR_ATTRIBUTES,
         "mazur",
         mazur_truncation=True,
         _fresh=True,
@@ -193,17 +215,13 @@ def embedding(p: float, q: float, n: int) -> TruncatedOperator:
         raise ValueError("embedding requires 1 <= p < q < inf")
     if n < 1:
         raise ValueError("n must be >= 1")
-    attrs = OperatorAttributes(
-        range_closed=False,
-        range_has_closed_infdim_subspace=False,
-        strictly_singular=True,
-        compact=False,
-        injective=True,
-        surjective=False,
-        weakstar_to_weak_continuous=True,
-    ).normalized()
     return TruncatedOperator(
-        np.eye(n), SpaceTag.ell(p, n), SpaceTag.ell(q, n), attrs, f"embed({p:g},{q:g})", _fresh=True
+        np.eye(n),
+        SpaceTag.ell(p, n),
+        SpaceTag.ell(q, n),
+        EMBEDDING_ATTRIBUTES,
+        f"embed({p:g},{q:g})",
+        _fresh=True,
     )
 
 
@@ -225,19 +243,12 @@ def diagonal(sigma, n: int, domain_exponent: float = 2.0) -> TruncatedOperator:
         raise ValueError("diagonal weights must be positive")
     if np.any(np.diff(weights) > 0.0):
         raise ValueError("diagonal weights must be nonincreasing")
-    attrs = OperatorAttributes(
-        range_closed=False,
-        compact=True,
-        injective=True,
-        surjective=False,
-        weakstar_to_weak_continuous=True,
-    ).normalized()
     np.fill_diagonal(entries, weights)
     return TruncatedOperator(
         entries,
         SpaceTag.ell(domain_exponent, n),
         SpaceTag.ell(2.0, n),
-        attrs,
+        DIAGONAL_ATTRIBUTES,
         "diag",
         _fresh=True,
     )
@@ -277,7 +288,7 @@ def compose(outer: TruncatedOperator, inner: TruncatedOperator) -> TruncatedOper
     the inner factor untouched.  A nonzero outer factor composed with a
     dense-direction truncation never becomes weak*-to-weak continuous.
     """
-    if not inner.codomain_tag.compatible(outer.domain_tag):
+    if inner.codomain_tag != outer.domain_tag:
         raise ValueError(
             f"cannot compose: inner codomain {inner.codomain_tag} vs "
             f"outer domain {outer.domain_tag}"
@@ -411,18 +422,13 @@ def injective_counterexample(n: int) -> TruncatedOperator:
     entries[0, :] = 1.0
     for k in range(2, n + 1):
         entries[k - 1, k - 1] = 1.0 / k
-    attrs = OperatorAttributes(
-        range_closed=False,
-        range_has_closed_infdim_subspace=False,
-        nullspace_complemented=True,
-        strictly_singular=True,
-        compact=True,
-        injective=True,
-        surjective=False,
-        weakstar_to_weak_continuous=False,
-    )
     return TruncatedOperator(
-        entries, SpaceTag.ell(1.0, n), SpaceTag.ell(2.0, n), attrs, "sum_decay", _fresh=True
+        entries,
+        SpaceTag.ell(1.0, n),
+        SpaceTag.ell(2.0, n),
+        INJECTIVE_COUNTEREXAMPLE_ATTRIBUTES,
+        "sum_decay",
+        _fresh=True,
     )
 
 

@@ -132,6 +132,14 @@ def test_collapse_rejects_direction_data(tmp_path):
     assert code == 2
 
 
+# e_1 is direction 1 and the all-ones vector direction 177 (zeta:K: the test below)
+@pytest.mark.parametrize("y, depths", [("e:1", "50"), ("ones", "200")])
+def test_collapse_data_along_an_enumerated_direction_exits_2(tmp_path, capsys, y, depths):
+    code, text = run(tmp_path, "collapse", "--y", y, "--depths", depths)
+    assert code == 2 and text == ""
+    assert "proportional to an enumerated direction" in capsys.readouterr().err
+
+
 def test_collapse_rejects_probe_index_zero(tmp_path, capsys):
     code, _ = run(tmp_path, "collapse", "--depths", "50", "--probes", "0")
     assert code == 2

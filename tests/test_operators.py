@@ -166,10 +166,17 @@ def test_compose_embedding_with_mazur_not_compact(master_directions):
 
 def test_compose_rejects_mismatch(master_directions):
     b = mazur(master_directions, 30, 3)
-    with pytest.raises(ValueError):
-        compose(diagonal(lambda k: 1.0 / k, 4), b)
-    with pytest.raises(ValueError):
-        compose(identity(3, exponent=4.0), b)  # exponent mismatch
+    pair = block_product(identity(2), identity(1))
+    for outer, inner in [
+        (diagonal(lambda k: 1.0 / k, 4), b),  # dim mismatch
+        (identity(3, exponent=4.0), b),  # exponent mismatch
+        (identity(3), pair),  # product against ell, same dim
+        (pair, block_product(identity(2), identity(1, exponent=4.0))),  # a part's exponent
+    ]:
+        with pytest.raises(ValueError, match="cannot compose"):
+            compose(outer, inner)
+    expected = SpaceTag.product(SpaceTag.ell(2, 2), SpaceTag.ell(2, 1))
+    assert compose(pair, pair).domain_tag == expected
 
 
 def test_block_product_entries_and_flags(master_directions):
