@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import TruncatedOperator, compose
-from .reports import float_cells
+from .reports import _BLOCK, _QUADS, float_cells
 
 __all__ = [
     "ProbeReport",
@@ -58,32 +58,33 @@ class ProbeReport:
     def to_csv(self) -> str:
         """One ``n,pairing`` line per pairing, each value as ``%.17g`` writes it.
 
-        The report is one NUL-padded byte matrix: row 0 the header, row k
-        the index digits, a comma, the value and a newline of line k (rows
-        run 1..n, so a leading digit position is blank on a row prefix).
         Pairings repeat heavily, so ``reports.float_cells`` writes each
         distinct bit pattern once (float equality would merge -0.0 with 0.0):
         the exact product for 1e-6 < |v| < 1e17 and the ``%`` operator for
-        zeros, non-finite values and other magnitudes.  NULs are dropped.
+        zeros, non-finite values and other magnitudes.  Lines go in blocks of
+        ``reports._BLOCK`` NUL-padded byte rows in one reused buffer (index
+        digits, a comma, the cell, a newline), each compacted to text, and the
+        texts are joined once: page faults, not arithmetic, set the cost.
         """
         values = np.ascontiguousarray(self.pairings, dtype=np.float64)
         n = len(values)
         keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        cells = float_cells(keys.view(np.float64))
-        width = len(str(n))
-        report = np.zeros((n + 1, width + 26), dtype=np.uint8)
-        report[0, :10] = np.frombuffer(b"n,pairing\n", dtype=np.uint8)
-        rows = report[1:]
-        index = np.arange(1, n + 1, dtype=np.min_scalar_type(n))
-        for col in range(width - 1, -1, -1):
-            index, digit = np.divmod(index, 10)
-            rows[:, col] = digit + ord("0")
-            # rows 1..10**k - 1 have no digit k places left of the units
-            rows[: 10 ** (width - 1 - col) - 1, col] = 0
-        rows[:, width] = ord(",")
-        rows[:, width + 1 : width + 25] = cells[inverse]
-        rows[:, width + 25] = ord("\n")
-        return str(report[report != 0].data, "ascii")
+        cells = float_cells(keys.view(np.float64)).view("V24")[:, 0]
+        width = 4 * -(-len(str(n)) // 4)  # index digits in 4-byte words, leading zeros NUL
+        unsigned = np.promote_types(np.uint32, np.min_scalar_type(n))
+        rows = np.empty((min(n, _BLOCK), width + 26), dtype=np.uint8)
+        rows[:, width], rows[:, -1] = ord(","), ord("\n")
+        texts = ["n,pairing\n"]
+        for start in range(0, n, _BLOCK):
+            block = rows[: n - start]
+            index = np.arange(start + 1, start + 1 + len(block), dtype=unsigned)
+            words = block[:, :width].view("<u4")
+            for j in range(width // 4 - 1, -1, -1):
+                index, low = index // 10000, index
+                words[:, j] = _QUADS.take(low - index * 10000 + (index == 0) * np.uint32(20000))
+            block[:, width + 1 : -1].view("V24")[:, 0] = cells.take(inverse[start : start + _BLOCK])
+            texts.append(block.tobytes().translate(None, b"\0").decode("ascii"))
+        return "".join(texts)
 
     def summary_json(self) -> str:
         sup_tail = self.sup_tail

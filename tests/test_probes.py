@@ -22,6 +22,7 @@ from illposed.probes import (
     pseudoinverse_growth,
     weak_star_probe,
 )
+from illposed.reports import _BLOCK
 
 
 def test_diagonal_probe_decays():
@@ -256,7 +257,12 @@ def test_to_csv_matches_per_line_formatting_on_probes(master_directions):
         assert report.to_csv().splitlines(True) == _reference_csv(report.pairings).splitlines(True)
 
 
-@pytest.mark.parametrize("n", [9, 10, 99, 100, 999, 1000, 99_999, 100_000])
+@pytest.mark.parametrize(
+    "n",
+    [9, 10, 99, 100, 999, 1000, 99_999, 100_000]
+    # the block edges, and a width change (9,999 -> 10,000) inside the third block
+    + [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 10_001],
+)
 def test_to_csv_matches_per_line_formatting_at_index_width_boundaries(n):
     values = np.random.default_rng(n).standard_normal(n)
     values[::3] = -0.25

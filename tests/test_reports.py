@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from illposed.reports import _FEW, float_cells
+from illposed.reports import _BLOCK, _FEW, float_cells
 
 
 def _texts(values: np.ndarray) -> list[str]:
@@ -14,10 +14,12 @@ def _texts(values: np.ndarray) -> list[str]:
     return str(lines[lines != 0].data, "ascii").splitlines()
 
 
-def _assert_matches_percent(values) -> None:
+def _assert_matches_percent(values, block_edges=False) -> None:
     values = np.asarray(values, dtype=np.float64)
     if 0 < len(values) < _FEW:  # fewer values take the % path alone
         values = np.resize(values, _FEW)
+    if block_edges and len(values):  # tiled past two block edges, which then split the table
+        values = np.resize(values, 2 * _BLOCK + len(values))
     got = _texts(values)
     expected = ("%.17g\n" * len(values) % tuple(values.tolist())).splitlines()
     assert len(got) == len(expected)
@@ -72,6 +74,7 @@ def test_float_cells_edge_table():
         assert float_cells(values).shape == (len(values), 24), name
         assert _texts(values) == ["%.17g" % v for v in values.tolist()], name
         _assert_matches_percent(values)
+        _assert_matches_percent(values, block_edges=True)
 
 
 def test_float_cells_sweep_over_the_window():
