@@ -417,8 +417,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_enum_bounds(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--support", type=int, default=3, help="max support bound")
-    parser.add_argument("--entry", type=int, default=8, help="max entry bound")
+    default = EnumerationParams()
+    parser.add_argument(
+        "--support", type=int, default=default.max_support, help="max support bound"
+    )
+    parser.add_argument("--entry", type=int, default=default.max_entry, help="max entry bound")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list unit-sphere directions")
-    p.add_argument("--q", type=float, default=2.0)
+    p.add_argument("--q", type=float, default=EnumerationParams().q)
     _add_enum_bounds(p)
     _add_common(p)
     p.set_defaults(func=cmd_enumerate)

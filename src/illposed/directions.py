@@ -8,13 +8,14 @@ extends a run with smaller ones and antipodal vectors always land in the same
 shell.  Indices are 1-based and stable across runs.
 
 An enumeration is stored by columns in a ``DirectionSet``: an int64 canon
-matrix, a support vector, a read-only realized matrix in Fortran order (its
-transpose is the Mazur matrix, shared, not copied) and a 1-based antipode
-array.  Each support is one grid over the entry axis M .. -M, split into
-shells by a stable sort on the largest magnitude.  Negation maps a shell onto
-itself and reverses descending lexicographic order, so the antipode of the
-i-th of a shell's N vectors is its (N-1-i)-th, with no search.  Items are
-bare row handles that read their row on demand and compare by identity.
+matrix, a support vector, a read-only realized matrix in Fortran order (the
+Mazur matrix of any prefix whose rows fit is a view of its transpose) and a
+1-based antipode array.  Each support is one grid over the entry axis
+M .. -M, split into shells by a stable sort on the largest magnitude.
+Negation maps a shell onto itself and reverses descending lexicographic
+order, so the antipode of the i-th of a shell's N vectors is its (N-1-i)-th,
+with no search.  Items are bare row handles that read their row on demand
+and compare by identity.
 """
 
 from __future__ import annotations
@@ -221,25 +222,6 @@ def enumerate_directions(params: EnumerationParams) -> DirectionSet:
     return DirectionSet(canon, support, columns.T, antipodes, params.q)
 
 
-def realized_matrix(directions: DirectionSet, n_rows: int) -> np.ndarray:
-    """Stack realized directions as columns of an ``n_rows x len(directions)`` array.
-
-    Where the set's own ``realized.T`` is that array, it is returned, read-only.
-    """
-    needed = int(directions.support.max(initial=0))
-    if n_rows < needed:
-        raise ValueError(
-            f"support overflow: direction needs {needed} rows, truncation has {n_rows}"
-        )
-    columns = directions.realized.T
-    if n_rows == len(columns) and columns.flags.c_contiguous:
-        return columns  # the set's own read-only matrix
-    width = min(n_rows, len(columns))
-    mat = np.zeros((n_rows, len(directions)))
-    mat[:width] = columns[:width]
-    return mat
-
-
 def coverage(directions: DirectionSet, y: np.ndarray) -> tuple[int, float]:
     """Best Euclidean correlation of y's direction with the enumerated set.
 
@@ -255,11 +237,9 @@ def coverage(directions: DirectionSet, y: np.ndarray) -> tuple[int, float]:
     norm = float(np.linalg.norm(y))
     if norm == 0.0:
         raise ValueError("coverage target must be nonzero")
-    dim = max(len(y), int(directions.support.max()))
-    yhat = np.zeros(dim)
-    yhat[: len(y)] = y / norm
-    mat = realized_matrix(directions, dim)
-    corr = mat.T @ yhat
+    yhat = np.zeros(directions.realized.shape[1])  # y past the width meets only zeros
+    yhat[: len(y)] = y[: len(yhat)] / norm
+    corr = directions.realized @ yhat
     best = int(np.argmax(corr))  # argmax returns the first maximizer
     return best + 1, float(corr[best])
 

@@ -15,7 +15,7 @@ from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 
-from .directions import DirectionSet, realized_matrix
+from .directions import DirectionSet
 
 __all__ = [
     "SpaceTag",
@@ -110,7 +110,8 @@ class TruncatedOperator:
 
     ``mazur_truncation`` records that the columns realize a dense unit-sphere
     direction sequence; a few propagation rules are only valid for such
-    operators.  The entries are copied and frozen.
+    operators.  The entries are read-only: a matrix passed in is copied,
+    while the builders here pass a fresh array or a shared read-only view.
     """
 
     entries: np.ndarray
@@ -119,7 +120,7 @@ class TruncatedOperator:
     attributes: OperatorAttributes
     label: str
     mazur_truncation: bool = False
-    _fresh: InitVar[bool] = False  # builders here freeze their new matrix in place
+    _fresh: InitVar[bool] = False  # builders here pass a new array or a read-only view: no copy
 
     def __post_init__(self, _fresh: bool) -> None:
         entries = np.asarray(self.entries, dtype=float)
@@ -190,11 +191,22 @@ def mazur(directions: DirectionSet, n_cols: int, n_rows: int) -> TruncatedOperat
 
     Column k is the realized direction zeta^(k), padded with zeros.  A
     direction whose support exceeds n_rows is an error: truncating a column
-    would break its exact unit norm.
+    would break its exact unit norm.  When n_rows is at most the width of
+    ``directions.realized`` the entries are a read-only view of it, which
+    keeps the enumeration's columns alive; more rows get a zero-padded copy.
     """
     if n_cols < 1 or n_cols > len(directions):
         raise ValueError(f"n_cols must be in 1..{len(directions)}")
-    entries = realized_matrix(directions[:n_cols], n_rows)
+    needed = int(directions.support[:n_cols].max())
+    if n_rows < needed:
+        raise ValueError(
+            f"support overflow: direction needs {needed} rows, truncation has {n_rows}"
+        )
+    columns = directions.realized[:n_cols].T
+    entries = columns[:n_rows]
+    if n_rows > len(columns):
+        entries = np.zeros((n_rows, n_cols))
+        entries[: len(columns)] = columns
     return TruncatedOperator(
         entries,
         SpaceTag.ell(1.0, n_cols),
@@ -308,8 +320,6 @@ def compose(outer: TruncatedOperator, inner: TruncatedOperator) -> TruncatedOper
     strictly_singular: bool | None = (
         True if (a.strictly_singular is True or b.strictly_singular is True) else None
     )
-    if strictly_singular is None and compact is True:
-        strictly_singular = True
 
     # The null-space of the composition contains the inner null-space and
     # equals it when the outer factor is injective.

@@ -53,7 +53,6 @@ _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
 # per exponent -6..16 and sign: "0." or "-0." and, if -4 <= E < 0, zeros; right-aligned in 0..6
 _LEAD = [s + b"0." + b"0" * (-e - 1) * (e > -5) for e in range(-6, 17) for s in (b"", b"-")]
 _LEAD = np.frombuffer(b"".join(t.rjust(7, b"\0") + b"\0" for t in _LEAD), dtype="<u8")
-_FEW = 200  # below about 200 values the kernel's fixed cost (about 70 us) exceeds the % operator's
 _BLOCK = 4096  # rows per block: the temporaries of one block stay in L2 and reuse freed heap
 
 
@@ -75,8 +74,6 @@ def float_cells(values) -> np.ndarray:
     temporary in L2 and in reused heap: page faults, not arithmetic, set the cost.
     """
     values = np.asarray(values, dtype=np.float64)
-    if len(values) < _FEW:
-        return _percent_cells(values)
     cells = np.empty((len(values), 24), dtype=np.uint8)
     for start in range(0, len(values), _BLOCK):
         v, out = values[start : start + _BLOCK], cells[start : start + _BLOCK]

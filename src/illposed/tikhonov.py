@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .directions import DirectionSet
+from .directions import DirectionSet, coverage
 from .operators import TruncatedOperator, mazur
 
 __all__ = [
@@ -297,16 +297,9 @@ def solve(
     )
 
 
-def _antipode_index(
-    directions: DirectionSet, k: int, limit: int | None = None
-) -> int | None:
-    """1-based index of the direction opposite to direction k, if enumerated.
-
-    Only the first ``limit`` directions count, all of them when it is None.
-    """
-    l = int(directions.antipodes[k - 1])
-    stop = len(directions) if limit is None else min(limit, len(directions))
-    return l if 0 < l <= stop else None
+def _antipode_index(directions: DirectionSet, k: int) -> int | None:
+    """1-based index of the direction opposite to direction k, if enumerated."""
+    return int(directions.antipodes[k - 1]) or None
 
 
 def closed_form_minimizer(
@@ -370,7 +363,7 @@ def minimizer_family_distance(
     n = len(x)
     base = soft_threshold(lam, alpha)
     ki = k - 1
-    l = _antipode_index(directions, k, limit=n)
+    l = _antipode_index(directions[:n], k)
     if base == 0.0 or l is None:
         target = np.zeros(n)
         target[ki] = base
@@ -450,10 +443,7 @@ def collapse_experiment(
         raise ValueError("probe indices must be >= 1")
     if directions.q != 2.0:
         raise ValueError("collapse experiment needs directions on the unit sphere of l^2")
-    # the best correlation of y / ||y||_2 with the prefix, read from the rows
-    yhat = np.zeros(directions.realized.shape[1])
-    yhat[: len(y)] = y[: len(yhat)] / norm_y
-    if float(np.max(directions.realized[:max_depth] @ yhat)) > 1.0 - 1e-9:
+    if coverage(directions[:max_depth], y)[1] > 1.0 - 1e-9:
         raise ValueError("y is (numerically) proportional to an enumerated direction")
     rows: list[CollapseRow] = []
     for depth in depth_schedule:
@@ -462,8 +452,6 @@ def collapse_experiment(
         data = np.zeros(n_rows)
         data[: len(y)] = y
         cert = solve(TikhonovProblem(op, data, alpha), tol=tol)
-        # coverage of the prefix: the columns of op against y / ||y||_2
-        corr = float(np.max(op.entries.T @ (data / norm_y)))
         dominant = int(np.argmax(np.abs(cert.x))) + 1
         values = tuple(
             float(cert.x[j - 1]) if j <= depth else 0.0 for j in probe_indices
@@ -473,7 +461,7 @@ def collapse_experiment(
                 depth=depth,
                 support_index=dominant,
                 support_size=len(cert.support),
-                best_correlation=corr,
+                best_correlation=coverage(directions[:depth], y)[1],
                 beta=float(cert.x[dominant - 1]),
                 l1_norm=float(np.abs(cert.x).sum()),
                 coord_values=values,

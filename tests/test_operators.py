@@ -40,18 +40,27 @@ def test_mazur_columns_are_realized_directions(master_directions):
 
 def test_mazur_of_a_whole_enumeration_shares_its_realized_matrix():
     # the enumeration stores realized by columns, so realized.T is the matrix
+    # and the matrix of a prefix whose rows fit is a view of it
     dirs = enumerate_directions(EnumerationParams(2.0, 3, 4))
     whole = mazur(dirs, len(dirs), 3)
-    assert np.shares_memory(whole.entries, dirs.realized)
-    assert whole.entries.flags.c_contiguous and not whole.entries.flags.writeable
+    assert whole.entries.flags.c_contiguous
     assert not dirs.realized.base.flags.writeable
     prefix = mazur(dirs, 50, 3)
-    assert not np.shares_memory(prefix.entries, dirs.realized)
     np.testing.assert_array_equal(prefix.entries, whole.entries[:, :50])
-    wider = mazur(dirs, len(dirs), 5)
-    assert not np.shares_memory(wider.entries, dirs.realized)
-    np.testing.assert_array_equal(wider.entries[:3], whole.entries)
-    assert not wider.entries[3:].any()
+    two_rows = int(np.searchsorted(dirs.support, 3))  # the directions of support <= 2
+    low = mazur(dirs, two_rows, 2)
+    np.testing.assert_array_equal(low.entries, whole.entries[:2, :two_rows])
+    assert not whole.entries[2, :two_rows].any()
+    for op in (whole, prefix, low):
+        assert np.shares_memory(op.entries, dirs.realized)
+        assert not op.entries.flags.writeable
+        with pytest.raises(ValueError):
+            op.entries.flags.writeable = True
+    for n_cols in (50, len(dirs)):
+        wider = mazur(dirs, n_cols, 5)
+        assert not np.shares_memory(wider.entries, dirs.realized)
+        np.testing.assert_array_equal(wider.entries[:3], whole.entries[:, :n_cols])
+        assert not wider.entries[3:].any()
     for k in (1, 17, len(dirs)):
         np.testing.assert_array_equal(whole.entries[:, k - 1], dirs[k - 1].realized_padded(3))
 

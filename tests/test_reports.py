@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from illposed.reports import _BLOCK, _FEW, float_cells
+from illposed.reports import _BLOCK, float_cells
 
 
 def _texts(values: np.ndarray) -> list[str]:
@@ -16,8 +16,6 @@ def _texts(values: np.ndarray) -> list[str]:
 
 def _assert_matches_percent(values, block_edges=False) -> None:
     values = np.asarray(values, dtype=np.float64)
-    if 0 < len(values) < _FEW:  # fewer values take the % path alone
-        values = np.resize(values, _FEW)
     if block_edges and len(values):  # tiled past two block edges, which then split the table
         values = np.resize(values, 2 * _BLOCK + len(values))
     got = _texts(values)
