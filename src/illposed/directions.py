@@ -202,7 +202,7 @@ def enumerate_directions(params: EnumerationParams) -> DirectionSet:
     is a pure function of ``params``.
     """
     entry, widths = params.max_entry, range(1, params.max_support + 1)
-    axis = np.arange(entry, -entry - 1, -1, dtype=np.int8 if entry < 128 else np.int64)
+    axis = np.arange(entry, -entry - 1, -1, dtype=np.min_scalar_type(-entry - 1))
     powers = np.arange(entry + 1, dtype=float) ** params.q
     blocks = [_primitive_rows(width, axis, powers, params.q) for width in widths]
     sizes = [len(rows) for rows, _, _ in blocks]
@@ -222,6 +222,21 @@ def enumerate_directions(params: EnumerationParams) -> DirectionSet:
     return DirectionSet(canon, support, columns.T, antipodes, params.q)
 
 
+def _correlations(directions: DirectionSet, y: np.ndarray) -> np.ndarray:
+    """<y/||y||_2, zeta> for every direction of a nonempty set on the unit sphere of l^2."""
+    if not directions:
+        raise ValueError("directions must be nonempty")
+    if directions.q != 2.0:
+        raise ValueError("correlations need directions on the unit sphere of l^2 (q = 2)")
+    y = np.asarray(y, dtype=float)
+    norm = float(np.linalg.norm(y))
+    if norm == 0.0:
+        raise ValueError("coverage target must be nonzero")
+    yhat = np.zeros(directions.realized.shape[1])  # y past the width meets only zeros
+    yhat[: len(y)] = y[: len(yhat)] / norm
+    return directions.realized @ yhat
+
+
 def coverage(directions: DirectionSet, y: np.ndarray) -> tuple[int, float]:
     """Best Euclidean correlation of y's direction with the enumerated set.
 
@@ -229,17 +244,7 @@ def coverage(directions: DirectionSet, y: np.ndarray) -> tuple[int, float]:
     attaining the maximum of <y/||y||_2, zeta> and ties break toward the
     smallest index.  Only directions on the unit sphere of l^2 are supported.
     """
-    if not directions:
-        raise ValueError("directions must be nonempty")
-    if directions.q != 2.0:
-        raise ValueError("coverage is defined for q = 2 only")
-    y = np.asarray(y, dtype=float)
-    norm = float(np.linalg.norm(y))
-    if norm == 0.0:
-        raise ValueError("coverage target must be nonzero")
-    yhat = np.zeros(directions.realized.shape[1])  # y past the width meets only zeros
-    yhat[: len(y)] = y[: len(yhat)] / norm
-    corr = directions.realized @ yhat
+    corr = _correlations(directions, y)
     best = int(np.argmax(corr))  # argmax returns the first maximizer
     return best + 1, float(corr[best])
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .directions import DirectionSet, coverage
+from .directions import DirectionSet, _correlations
 from .operators import TruncatedOperator, mazur
 
 __all__ = [
@@ -297,11 +297,6 @@ def solve(
     )
 
 
-def _antipode_index(directions: DirectionSet, k: int) -> int | None:
-    """1-based index of the direction opposite to direction k, if enumerated."""
-    return int(directions.antipodes[k - 1]) or None
-
-
 def closed_form_minimizer(
     directions: DirectionSet,
     k: int,
@@ -311,10 +306,10 @@ def closed_form_minimizer(
 ) -> np.ndarray:
     """Exact minimizer for data lambda * zeta^(k), as a length-len(directions) vector.
 
-    Without gamma this is the soft-thresholded spike at k.  With gamma it is
-    the two-component minimizer placed at k and at the antipodal index l;
-    gamma must lie strictly inside (alpha - lambda, 0) for lambda > alpha,
-    or (0, -alpha - lambda) for lambda < -alpha.
+    Without gamma this is the soft-thresholded spike at k, base =
+    soft_threshold(lambda, alpha).  With gamma it is the two-component
+    minimizer (base + gamma) e^(k) + gamma e^(l) at k and its antipodal index
+    l; gamma must lie strictly inside the interval between 0 and -base.
     """
     if not 1 <= k <= len(directions):
         raise ValueError(f"k must be in 1..{len(directions)}")
@@ -327,19 +322,12 @@ def closed_form_minimizer(
         return x
     if base == 0.0:
         raise ValueError("two-component minimizers need |lambda| > alpha")
-    l = _antipode_index(directions, k)
-    if l is None:
+    l = int(directions.antipodes[k - 1])
+    if not l:
         raise ValueError(f"no antipodal partner of direction {k} is enumerated")
-    if lam > alpha:
-        if not alpha - lam < gamma < 0.0:
-            raise ValueError(
-                f"gamma must lie in ({alpha - lam}, 0) for lambda > alpha"
-            )
-    else:
-        if not 0.0 < gamma < -alpha - lam:
-            raise ValueError(
-                f"gamma must lie in (0, {-alpha - lam}) for lambda < -alpha"
-            )
+    lo, hi = sorted((0.0, -base))
+    if not lo < gamma < hi:
+        raise ValueError(f"gamma must lie in ({lo}, {hi})")
     x[k - 1] = base + gamma
     x[l - 1] = gamma
     return x
@@ -362,13 +350,11 @@ def minimizer_family_distance(
     x = np.asarray(x, dtype=float)
     n = len(x)
     base = soft_threshold(lam, alpha)
-    ki = k - 1
-    l = _antipode_index(directions[:n], k)
-    if base == 0.0 or l is None:
+    ki, li = k - 1, int(directions[:n].antipodes[k - 1]) - 1
+    if base == 0.0 or li < 0:
         target = np.zeros(n)
         target[ki] = base
         return float(np.abs(x - target).sum())
-    li = l - 1
     lo, hi = sorted((0.0, -base))
     rest = float(np.abs(x).sum() - abs(x[ki]) - abs(x[li]))
 
@@ -387,6 +373,8 @@ class CollapseRow:
 
     ``support_index`` and ``beta`` may name either member of an antipodal pair
     (a_l = -a_k), with opposite signs: the last bit of y - Ax decides.
+    ``best_correlation`` is the running maximum of one product <y/||y||_2, zeta>
+    over the deepest prefix, so it never decreases with depth.
     """
 
     depth: int
@@ -441,12 +429,13 @@ def collapse_experiment(
         raise ValueError("depths must be positive")
     if any(j < 1 for j in probe_indices):
         raise ValueError("probe indices must be >= 1")
-    if directions.q != 2.0:
-        raise ValueError("collapse experiment needs directions on the unit sphere of l^2")
-    if coverage(directions[:max_depth], y)[1] > 1.0 - 1e-9:
+    # one product for all rows: BLAS can round a row differently in a shorter prefix
+    best = np.maximum.accumulate(_correlations(directions[:max_depth], y))
+    if best[-1] > 1.0 - 1e-9:
         raise ValueError("y is (numerically) proportional to an enumerated direction")
+    best = best[np.subtract(depth_schedule, 1)].tolist()  # frees the running maximum before the solves
     rows: list[CollapseRow] = []
-    for depth in depth_schedule:
+    for depth, best_correlation in zip(depth_schedule, best):
         n_rows = max(len(y), int(directions.support[:depth].max()))
         op = mazur(directions, depth, n_rows)
         data = np.zeros(n_rows)
@@ -461,7 +450,7 @@ def collapse_experiment(
                 depth=depth,
                 support_index=dominant,
                 support_size=len(cert.support),
-                best_correlation=coverage(directions[:depth], y)[1],
+                best_correlation=best_correlation,
                 beta=float(cert.x[dominant - 1]),
                 l1_norm=float(np.abs(cert.x).sum()),
                 coord_values=values,

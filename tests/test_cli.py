@@ -7,11 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from illposed.classify import OPERATORS
+from illposed.classify import OPERATORS, build_operator
 from illposed.cli import main
 from illposed.directions import EnumerationParams, enumerate_directions
 from illposed.probes import ProbeReport
 from illposed.reports import json_report
+from illposed.tikhonov import (
+    TikhonovProblem,
+    closed_form_minimizer,
+    objective,
+    optimality_residual,
+    soft_threshold,
+)
 
 
 def run(tmp_path, *argv, name="out.txt"):
@@ -78,6 +85,52 @@ def test_verify_theorem_flags_impossible_tolerance(tmp_path):
         "--tol-match=-1",
     )
     assert code == 3
+
+
+def _theorem_rows(tmp_path, *argv):
+    code, text = run(tmp_path, "verify-theorem", "--format", "json", *argv)
+    assert code == 0
+    return json.loads(text)["rows"]
+
+
+def _gamma_columns(rows, k):
+    return [(r["gamma_spread"], r["gamma_max_residual"]) for r in rows if r["k"] == k]
+
+
+def test_verify_theorem_gamma_columns_match_the_family(tmp_path):
+    # direction 17 faces direction 32: the family exists at depth 60
+    depth, alpha, gammas = 60, 0.3, 5
+    rows = _theorem_rows(tmp_path, "--depth", str(depth), "--indices", "1,17",
+                         "--multipliers=-10,-0.5,2", "--gammas", str(gammas))
+    directions = enumerate_directions(EnumerationParams())
+    op = build_operator("B", depth, lambda: directions)
+    prefix = directions[:depth]
+    for row in rows:
+        k, lam = row["k"], row["lambda"]
+        base = soft_threshold(lam, alpha)
+        if base == 0.0:
+            assert row["gamma_spread"] == row["gamma_max_residual"] == 0.0
+            continue
+        problem = TikhonovProblem(op, lam * directions.realized[k - 1, : op.n_rows], alpha)
+        lo, hi = sorted((0.0, -base))
+        family = [
+            closed_form_minimizer(prefix, k, lam, alpha, lo + (hi - lo) * i / (gammas + 1))
+            for i in range(1, gammas + 1)
+        ]
+        values = [objective(problem, x) for x in family]
+        assert row["gamma_spread"] == max(values) - min(values)
+        assert row["gamma_max_residual"] == max(optimality_residual(problem, x) for x in family)
+    assert any(residual > 0.0 for _, residual in _gamma_columns(rows, 17))
+
+
+def test_verify_theorem_gamma_columns_read_0_without_a_family(tmp_path):
+    grid = ["--indices", "1,17", "--multipliers=-10,2"]
+    family = _gamma_columns(_theorem_rows(tmp_path, "--depth", "60", *grid), 17)
+    assert any(residual > 0.0 for _, residual in family)
+    # the partner 32 of direction 17 lies past a depth of 20
+    assert _gamma_columns(_theorem_rows(tmp_path, "--depth", "20", *grid), 17) == [(0.0, 0.0)] * 2
+    no_samples = _theorem_rows(tmp_path, "--depth", "60", "--gammas", "0", *grid)
+    assert [(r["gamma_spread"], r["gamma_max_residual"]) for r in no_samples] == [(0.0, 0.0)] * 4
 
 
 def test_verify_theorem_rejects_bad_index(tmp_path):

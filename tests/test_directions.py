@@ -18,7 +18,6 @@ from illposed.directions import (
     directions_to_json,
     enumerate_directions,
 )
-from illposed.tikhonov import _antipode_index
 
 
 class RationalDirection:
@@ -331,11 +330,11 @@ def test_antipode_array_matches_linear_scan(bounds):
     for k, position in enumerate(positions, start=1):
         for limit in (None, k, 200) if k <= 200 else (None, k):
             expected = _within(position, len(dirs), limit)
-            assert _antipode_index(dirs[:limit], k) == expected
+            assert dirs[:limit].antipodes[k - 1] == (expected or 0)
     for n in (1, len(dirs) // 3, len(dirs) - 1):
         prefix = dirs[:n]
         for k, position in enumerate(_oracle_antipodes(canon_list[:n]), start=1):
-            assert _antipode_index(prefix, k) == position
+            assert prefix.antipodes[k - 1] == (position or 0)
 
 
 def test_antipode_array_matches_verbatim_scan_on_small_bounds():
@@ -343,10 +342,10 @@ def test_antipode_array_matches_verbatim_scan_on_small_bounds():
     oracle = _oracle_enumeration(EnumerationParams(2.0, 3, 4))
     for k in range(1, len(dirs) + 1):
         for limit in (None, k, 200) if k <= 200 else (None, k):
-            assert _antipode_index(dirs[:limit], k) == _linear_scan(oracle, k, limit)
+            assert dirs[:limit].antipodes[k - 1] == (_linear_scan(oracle, k, limit) or 0)
 
 
-@pytest.mark.parametrize("support, entry", [(1, 128), (2, 127), (2, 128)])
+@pytest.mark.parametrize("support, entry", [(1, 128), (2, 127), (2, 128), (2, 200)])
 def test_shell_blocks_match_walk_at_the_int8_edge(support, entry):
     # the last shell of the enumeration is the one of exact support and entry
     expected = _oracle_shell_vectors(support, entry)

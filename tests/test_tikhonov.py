@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -738,10 +739,19 @@ def test_closed_form_cases(master_directions):
 
 def test_closed_form_gamma_validation(master_directions):
     dirs = master_directions[:200]
-    with pytest.raises(ValueError):
-        closed_form_minimizer(dirs, 5, 1.0, 0.3, gamma=0.1)  # wrong side
-    with pytest.raises(ValueError):
-        closed_form_minimizer(dirs, 5, 1.0, 0.3, gamma=-0.8)  # beyond interval
+    for lam, gamma in [
+        (1.0, 0.1),  # wrong side
+        (1.0, -0.8),  # beyond interval
+        (1.0, 0.0),  # open endpoint gamma = 0
+        (1.0, -soft_threshold(1.0, 0.3)),  # open endpoint gamma = -base
+        (-1.0, -0.1),
+        (-1.0, 0.8),
+        (-1.0, 0.0),
+        (-1.0, -soft_threshold(-1.0, 0.3)),
+    ]:
+        lo, hi = sorted((0.0, -soft_threshold(lam, 0.3)))
+        with pytest.raises(ValueError, match=re.escape(f"gamma must lie in ({lo}, {hi})")):
+            closed_form_minimizer(dirs, 5, lam, 0.3, gamma=gamma)
     with pytest.raises(ValueError):
         closed_form_minimizer(dirs, 5, 0.2, 0.3, gamma=-0.1)  # no family at all
     with pytest.raises(ValueError, match="antipodal"):
@@ -800,16 +810,30 @@ def test_collapse_rows_track_coverage(master_directions):
         assert row.solution.shape == (row.depth,)
 
 
+def _prefix_maxima(directions, y, depths):
+    # the largest correlation over the first `depth` entries of one product
+    # over the deepest prefix, as coverage normalizes y
+    yhat = np.zeros(directions.realized.shape[1])
+    yhat[: len(y)] = y / np.linalg.norm(y)
+    corr = directions[: max(depths)].realized @ yhat
+    return [float(corr[:depth].max()) for depth in depths]
+
+
 def test_collapse_best_correlation_is_prefix_coverage(master_directions):
     y = np.random.default_rng(5).standard_normal(3)
     depths = [1, 50, 200, 4034]
     rows = collapse_experiment(master_directions, y, 0.1, depths)
-    for row, depth in zip(rows, depths):
-        assert row.best_correlation == coverage(master_directions[:depth], y)[1]
-    short = collapse_experiment(master_directions, y[:2], 0.1, [1, 9])
-    assert [r.best_correlation for r in short] == [
-        coverage(master_directions[:depth], y[:2])[1] for depth in (1, 9)
-    ]
+    assert [r.best_correlation for r in rows] == _prefix_maxima(master_directions, y, depths)
+    assert rows[-1].best_correlation == coverage(master_directions, y)[1]
+    short = collapse_experiment(master_directions, y[:2], 0.1, [9, 1])
+    assert [r.best_correlation for r in short] == _prefix_maxima(master_directions, y[:2], [9, 1])
+    # direction 890 is the best-aligned one at depths 890, 891 and 4034, so
+    # all three rows read the same bits, though a product over the first 890
+    # directions alone can round its correlation differently (BLAS tail rows)
+    y = np.random.default_rng(1).standard_normal(3)
+    assert coverage(master_directions, y)[0] == 890
+    shared = collapse_experiment(master_directions, y, 0.1, [4034, 890, 891])
+    assert {r.best_correlation for r in shared} == {coverage(master_directions, y)[1]}
 
 
 def test_convergence_experiment_diagonal_matches_formula():
