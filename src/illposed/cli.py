@@ -67,27 +67,20 @@ def _write(text: str, out: str | None) -> None:
 
 
 def emit(
-    args,
-    header: list[str],
-    rows: list[list],
-    meta: dict | None = None,
-    comments: tuple[str, ...] = (),
+    args, rows: list[dict], meta: dict | None = None, comments: tuple[str, ...] = ()
 ) -> None:
     """Write a report table to ``args.out`` in ``args.format``.
 
-    JSON carries all of ``meta``; CSV writes only the ``comments`` keys of
-    ``meta``, as ``# key=value`` lines above the header.
+    Each row maps column name to value, and the first row's keys are the
+    header.  JSON carries all of ``meta``; CSV writes only the ``comments``
+    keys of ``meta``, as ``# key=value`` lines above the header.
     """
+    header, values = list(rows[0]), [list(row.values()) for row in rows]
     if args.format == "json":
-        _write(json_report(header, rows, meta), args.out)
+        _write(json_report(header, values, meta), args.out)
     else:
         lines = [f"{key}={fmt(meta[key])}" for key in comments]
-        _write(csv_report(header, rows, lines), args.out)
-
-
-def _fields(record) -> list:
-    """The values of a result record's CSV_FIELDS, in header order."""
-    return [getattr(record, name) for name in record.CSV_FIELDS]
+        _write(csv_report(header, values, lines), args.out)
 
 
 def _number(text: str, kind: type, option: str):
@@ -202,23 +195,21 @@ def _theorem_case(directions, op, k, lam, alpha, tol, gammas):
     base = soft_threshold(lam, alpha)
     if base and gammas and prefix.antipodes[k - 1]:
         lo, hi = sorted((0.0, -base))
+        gamma = lambda i: lo + (hi - lo) * i / (gammas + 1)
+        if not (lo < gamma(1) and gamma(gammas) < hi):  # the samples are monotone in i
+            raise ValueError(f"--gammas {gammas} has no room inside ({lo}, {hi})")
         values, residuals = [], []
         for i in range(1, gammas + 1):
-            x = closed_form_minimizer(prefix, k, lam, alpha, lo + (hi - lo) * i / (gammas + 1))
+            x = closed_form_minimizer(prefix, k, lam, alpha, gamma(i))
             values.append(objective(problem, x))
             residuals.append(optimality_residual(problem, x))
         gamma_spread, gamma_max_residual = max(values) - min(values), max(residuals)
-    return [
-        k,
-        lam,
-        alpha,
-        deviation,
-        cert.residual,
-        gamma_spread,
-        gamma_max_residual,
-        len(cert.support),
-        cert.converged,
-    ]
+    return {
+        "k": k, "lambda": lam, "alpha": alpha, "deviation_l1": deviation,
+        "residual": cert.residual, "gamma_spread": gamma_spread,
+        "gamma_max_residual": gamma_max_residual, "support_size": len(cert.support),
+        "converged": cert.converged,
+    }
 
 
 def cmd_verify_theorem(args) -> int:
@@ -246,21 +237,9 @@ def cmd_verify_theorem(args) -> int:
         for k in indices
         for m in multipliers
     ]
-
-    header = [
-        "k",
-        "lambda",
-        "alpha",
-        "deviation_l1",
-        "residual",
-        "gamma_spread",
-        "gamma_max_residual",
-        "support_size",
-        "converged",
-    ]
-    meta = {"depth": args.depth, "max_deviation": max(r[3] for r in rows)}
-    emit(args, header, rows, meta, ("max_deviation",))
-    if any(not r[8] or r[3] > args.tol_match for r in rows):
+    meta = {"depth": args.depth, "max_deviation": max(r["deviation_l1"] for r in rows)}
+    emit(args, rows, meta, ("max_deviation",))
+    if any(not r["converged"] or r["deviation_l1"] > args.tol_match for r in rows):
         return EXIT_FLAGGED
     return EXIT_OK
 
@@ -271,13 +250,23 @@ def cmd_collapse(args) -> int:
     depths = _int_list(args.depths, "--depths")
     y = _parse_vector(args.y, 0, directions, _seed(args), "--y")
     probes = tuple(_int_list(args.probes, "--probes"))
+    for i, j in enumerate(probes):
+        if j in probes[:i]:
+            raise ValueError(f"--probes lists {j} more than once")
     rows = collapse_experiment(
         directions(), y, args.alpha, depths, probe_indices=probes, tol=args.tol
     )
-    header = list(rows[0].CSV_FIELDS) + [f"coord_{j}" for j in probes] + ["converged"]
-    table = [_fields(r) + [*r.coord_values, r.converged] for r in rows]
+    table = [
+        {
+            "depth": r.depth, "support_index": r.support_index, "support_size": r.support_size,
+            "best_correlation": r.best_correlation, "beta": r.beta, "l1_norm": r.l1_norm,
+            **{f"coord_{j}": v for j, v in zip(probes, r.coord_values)},
+            "converged": r.converged,
+        }
+        for r in rows
+    ]
     meta = {"seed": args.seed, "alpha": args.alpha, "y": args.y}
-    emit(args, header, table, meta, ("seed", "y"))
+    emit(args, table, meta, ("seed", "y"))
     return EXIT_FLAGGED if any(not r.converged for r in rows) else EXIT_OK
 
 
@@ -329,10 +318,9 @@ def cmd_classify(args) -> int:
         result = classify(attrs)
         rules = ";".join(v.rule for v in check_consistency(attrs))
         meta = {"rationale": "; ".join(result.rationale)}
-        emit(args, ["verdict", "hybrid", "violations"],
-             [[result.verdict.value, result.hybrid, rules]], meta, ("rationale",))
+        row = {"verdict": result.verdict.value, "hybrid": result.hybrid, "violations": rules}
+        emit(args, [row], meta, ("rationale",))
         return EXIT_OK
-    header = ["label", "verdict", "hybrid", "expected_verdict", "match", "violations"]
     rows = []
     clean = True
     for entry in catalog():
@@ -344,16 +332,16 @@ def cmd_classify(args) -> int:
         )
         clean = clean and match and not violations
         rows.append(
-            [
-                entry.label,
-                result.verdict.value,
-                result.hybrid,
-                entry.expected_verdict.value,
-                match,
-                ";".join(v.rule for v in violations),
-            ]
+            {
+                "label": entry.label,
+                "verdict": result.verdict.value,
+                "hybrid": result.hybrid,
+                "expected_verdict": entry.expected_verdict.value,
+                "match": match,
+                "violations": ";".join(v.rule for v in violations),
+            }
         )
-    emit(args, header, rows)
+    emit(args, rows)
     return EXIT_OK if clean else EXIT_FLAGGED
 
 
@@ -377,10 +365,16 @@ def cmd_convergence(args) -> int:
         seed=seed,
         tol=args.tol,
     )
-    header = list(report.rows[0].CSV_FIELDS) + ["converged"]
-    table = [_fields(r) + [r.converged] for r in report.rows]
+    table = [
+        {
+            "delta": r.delta, "alpha": r.alpha, "error_l1": r.error_l1,
+            "support_index": r.support_index, "support_size": r.support_size,
+            "converged": r.converged,
+        }
+        for r in report.rows
+    ]
     meta = {"guaranteed": report.guaranteed, "seed": args.seed}
-    emit(args, header, table, meta, ("guaranteed", "seed"))
+    emit(args, table, meta, ("guaranteed", "seed"))
     return EXIT_FLAGGED if any(not r.converged for r in report.rows) else EXIT_OK
 
 
@@ -390,8 +384,11 @@ def cmd_growth(args) -> int:
         raise ValueError("--sizes must be at least 1")
     directions = _directions(args)
     family = [build_operator(args.operator, n, directions) for n in sizes]
-    rows = [list(entry) for entry in pseudoinverse_growth(family)]
-    emit(args, ["n", "min_singular_value", "growth"], rows)
+    rows = [
+        {"n": n, "min_singular_value": smin, "growth": growth}
+        for n, smin, growth in pseudoinverse_growth(family)
+    ]
+    emit(args, rows)
     return EXIT_OK
 
 

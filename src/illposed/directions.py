@@ -204,6 +204,9 @@ def enumerate_directions(params: EnumerationParams) -> DirectionSet:
     entry, widths = params.max_entry, range(1, params.max_support + 1)
     axis = np.arange(entry, -entry - 1, -1, dtype=np.min_scalar_type(-entry - 1))
     powers = np.arange(entry + 1, dtype=float) ** params.q
+    # allocate first, one intp per point of the widest grid (its argsort): bounds
+    # too large to allocate fail before any block is built
+    np.empty(len(axis) ** params.max_support, dtype=np.intp)
     blocks = [_primitive_rows(width, axis, powers, params.q) for width in widths]
     sizes = [len(rows) for rows, _, _ in blocks]
     counts = np.concatenate([shells for _, _, shells in blocks])

@@ -387,15 +387,6 @@ class CollapseRow:
     converged: bool
     solution: np.ndarray = field(repr=False, compare=False)
 
-    CSV_FIELDS = (
-        "depth",
-        "support_index",
-        "support_size",
-        "best_correlation",
-        "beta",
-        "l1_norm",
-    )
-
 
 def collapse_experiment(
     directions: DirectionSet,
@@ -469,14 +460,6 @@ class ConvergenceRow:
     support_index: int
     support_size: int
     converged: bool
-
-    CSV_FIELDS = (
-        "delta",
-        "alpha",
-        "error_l1",
-        "support_index",
-        "support_size",
-    )
 
 
 @dataclass(frozen=True)

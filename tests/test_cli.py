@@ -133,6 +133,14 @@ def test_verify_theorem_gamma_columns_read_0_without_a_family(tmp_path):
     assert [(r["gamma_spread"], r["gamma_max_residual"]) for r in no_samples] == [(0.0, 0.0)] * 4
 
 
+def test_verify_theorem_without_samples_on_a_subnormal_interval_writes_its_row(tmp_path):
+    code, text = run(tmp_path, "verify-theorem", "--alpha", "5e-324", "--multipliers", "2",
+                     "--depth", "60", "--indices", "17", "--gammas", "0")
+    assert code == 3
+    header, row = text.splitlines()[1:]
+    assert dict(zip(header.split(","), row.split(",")))["gamma_spread"] == "0"
+
+
 def test_verify_theorem_rejects_bad_index(tmp_path):
     code, _ = run(tmp_path, "verify-theorem", "--indices", "0")
     assert code == 2
@@ -219,6 +227,8 @@ def test_vector_longer_than_operator_exits_2(tmp_path, capsys, argv):
     [
         (["probe", "--operator", "B", "--eta", "zeta:3", "--n", "1"], "does not fit in dimension 1"),
         (["collapse", "--y", "zeta:5", "--depths", "50"], "proportional to an enumerated direction"),
+        (["convergence", "--x-true", "zeta:99999"], "direction index 99999 out of range"),
+        (["probe", "--operator", "B", "--eta", "e:0"], "basis index 0 out of range for dim 3"),
     ],
 )
 def test_zeta_data_that_cannot_be_used_exits_2(tmp_path, capsys, argv, message):
@@ -350,6 +360,14 @@ def test_allocation_failure_exits_2(tmp_path, capsys):
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
 
 
+# only grids past 2^63 cells: a smaller one may pass the allocation and exhaust memory later
+@pytest.mark.parametrize("support, entry", [("40", "1"), ("64", "3")])
+def test_enumeration_bounds_too_large_to_allocate_exit_2(tmp_path, capsys, support, entry):
+    code, text = run(tmp_path, "enumerate", "--support", support, "--entry", entry)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: Maximum allowed dimension exceeded\n"
+
+
 def test_diag_too_large_to_allocate_exits_2_before_its_weights(tmp_path, capsys):
     # diag allocates its 71 PiB matrix before it evaluates 10^8 weights
     code, text = run(tmp_path, "growth", "--operator", "diag", "--sizes", "100000000")
@@ -425,6 +443,13 @@ def test_empty_schedule_or_zero_size_names_the_option(tmp_path, capsys, argv, op
         (["collapse", "--seed", "-1"], "--seed must be a non-negative integer"),
         (["probe", "--seed", "-1"], "--seed must be a non-negative integer"),
         (["convergence", "--seed", "-1"], "--seed must be a non-negative integer"),
+        (["collapse", "--probes", "1,1"], "--probes lists 1 more than once"),
+        (["collapse", "--depths", "50", "--probes", "3,1,2,1"], "--probes lists 1 more than once"),
+        (["verify-theorem", "--depth", "60", "--indices", "17", "--multipliers", "2",
+          "--gammas", "100000000000000000000"],
+         "--gammas 100000000000000000000 has no room inside (-0.3, 0.0)"),
+        (["verify-theorem", "--alpha", "5e-324", "--multipliers", "2", "--depth", "60",
+          "--indices", "17"], "--gammas 5 has no room inside (-5e-324, 0.0)"),
     ],
 )
 def test_malformed_option_value_exits_2_naming_the_option(tmp_path, capsys, argv, message):

@@ -191,6 +191,26 @@ def test_coverage_validation():
         coverage(dirs, np.zeros(3))
     with pytest.raises(ValueError, match="q = 2"):
         coverage(enumerate_directions(EnumerationParams(3.0, 1, 1)), np.array([1.0]))
+    with pytest.raises(ValueError, match="nonempty"):
+        coverage(dirs[:0], np.array([1.0]))
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [({"q": 1.0}, "1 < q < inf"), ({"q": math.inf}, "1 < q < inf"), ({"max_entry": 0}, ">= 1")],
+)
+def test_enumeration_params_validation(bounds, message):
+    with pytest.raises(ValueError, match=message):
+        EnumerationParams(**bounds)
+
+
+# (2 * entry + 1) ** support exceeds 2^63 cells: numpy refuses the grid at
+# once.  A smaller grid may pass the allocation and exhaust memory later, so
+# none is tested.
+@pytest.mark.parametrize("support, entry", [(40, 1), (64, 3)])
+def test_enumeration_bounds_too_large_to_allocate_raise_before_any_block(support, entry):
+    with pytest.raises(ValueError, match="Maximum allowed dimension exceeded"):
+        enumerate_directions(EnumerationParams(2.0, support, entry))
 
 
 def test_coverage_monotone_in_bounds():

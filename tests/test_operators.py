@@ -111,6 +111,12 @@ def test_embedding_rejects_bad_exponents():
         embedding(4.0, 2.0, 3)
 
 
+@pytest.mark.parametrize("build", [lambda: embedding(2.0, 4.0, 0), lambda: identity(0)])
+def test_builders_reject_size_0(build):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        build()
+
+
 def test_diagonal_entries_and_validation():
     op = diagonal(lambda k: 1.0 / k, 3)
     np.testing.assert_allclose(op.entries, np.diag([1.0, 0.5, 1.0 / 3.0]))
@@ -118,6 +124,8 @@ def test_diagonal_entries_and_validation():
         diagonal([1.0, -0.5], 2)
     with pytest.raises(ValueError):
         diagonal([0.5, 1.0], 2)
+    with pytest.raises(ValueError, match="need 2 weights, got 1"):
+        diagonal([1.0], 2)
 
 
 def test_diagonal_min_singular_value_and_decay():
@@ -173,6 +181,11 @@ def test_compose_embedding_with_mazur_not_compact(master_directions):
     assert at.range_has_closed_infdim_subspace is False
 
 
+def test_compose_keeps_the_weakstar_to_weak_continuity_of_its_inner_factor():
+    out = compose(embedding(2.0, 4.0, 5), diagonal(harmonic, 5))
+    assert out.attributes.weakstar_to_weak_continuous is True
+
+
 def test_compose_rejects_mismatch(master_directions):
     b = mazur(master_directions, 30, 3)
     pair = block_product(identity(2), identity(1))
@@ -204,6 +217,15 @@ def test_block_product_entries_and_flags(master_directions):
 
     both = block_product(identity(2), identity(2))
     np.testing.assert_array_equal(both.entries, np.eye(4))
+
+
+def test_block_product_beside_undeclared_flags_stays_unknown_where_no_block_fails():
+    plain = TruncatedOperator(
+        np.eye(2), SpaceTag.ell(2.0, 2), SpaceTag.ell(2.0, 2), OperatorAttributes(), "plain"
+    )
+    at = block_product(identity(2), plain).attributes
+    assert at.range_closed is None and at.injective is None  # True beside unknown
+    assert at.compact is False  # False beside unknown
 
 
 def test_block_composition_equals_direct_pair():
@@ -248,6 +270,8 @@ def test_counterexample_inverse_formula():
     np.testing.assert_allclose(
         injective_counterexample_inverse(op.entries @ x), x, atol=1e-9
     )
+    with pytest.raises(ValueError, match="length >= 2"):
+        injective_counterexample_inverse(np.ones(1))
 
 
 def _random_ops(master_directions):
@@ -284,6 +308,10 @@ def test_adjoint_examples(master_directions):
 
 
 def test_truncated_operator_validation():
+    with pytest.raises(ValueError, match="nonempty 2-d"):
+        TruncatedOperator(
+            np.ones(2), SpaceTag.ell(1.0, 2), SpaceTag.ell(2.0, 1), OperatorAttributes(), "bad"
+        )
     with pytest.raises(ValueError):
         TruncatedOperator(
             np.array([[np.inf]]),

@@ -111,6 +111,12 @@ def test_optimality_residual_values(b200, master_directions):
     )
 
 
+@pytest.mark.parametrize("measure", [objective, optimality_residual])
+def test_objective_and_residual_reject_x_of_the_wrong_length(b200, measure):
+    with pytest.raises(ValueError, match="x must have length 200"):
+        measure(TikhonovProblem(b200, np.ones(3), 0.1), np.zeros(199))
+
+
 def test_problem_validation(b200):
     with pytest.raises(ValueError):
         TikhonovProblem(b200, np.zeros(3), 0.0)
@@ -243,6 +249,8 @@ def test_step_budget_is_reported_not_raised():
     assert not cert.converged and cert.iterations == 3
     assert cert.residual == pytest.approx(optimality_residual(problem, cert.x))
     assert solve(problem).iterations > 3
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        solve(problem, max_iter=0)
 
 
 # The solver as it was before its factors moved into preallocated buffers,
@@ -758,6 +766,15 @@ def test_closed_form_gamma_validation(master_directions):
         closed_form_minimizer(dirs[:1], 1, 1.0, 0.3, gamma=-0.5)
 
 
+@pytest.mark.parametrize(
+    "k, alpha, message", [(0, 0.3, "k must be in 1..200"), (201, 0.3, "k must be in 1..200"),
+                          (5, -0.1, "alpha must be nonnegative")]
+)
+def test_closed_form_rejects_an_index_or_alpha_out_of_range(master_directions, k, alpha, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        closed_form_minimizer(master_directions[:200], k, 1.0, alpha)
+
+
 def test_gamma_family_shares_objective_and_optimality(b200, master_directions):
     dirs = master_directions[:200]
     prob = problem_for(b200, master_directions, 5, 1.0)
@@ -794,6 +811,10 @@ def test_collapse_validation(master_directions):
         collapse_experiment(
             master_directions, np.array([1.0, 0.7, 0.3]), 0.1, [50], probe_indices=(0,)
         )
+    with pytest.raises(ValueError, match="depth schedule is empty"):
+        collapse_experiment(master_directions, np.array([1.0, 0.7, 0.3]), 0.1, [])
+    with pytest.raises(ValueError, match="depths must be positive"):
+        collapse_experiment(master_directions, np.array([1.0, 0.7, 0.3]), 0.1, [50, 0])
 
 
 def test_collapse_rows_track_coverage(master_directions):
@@ -885,6 +906,14 @@ def test_convergence_experiment_checks_every_delta_before_any_solve(
     with pytest.raises(ValueError, match="positive finite"):
         convergence_experiment(op, x_true, deltas, alpha_factor=alpha_factor)
     assert solves == []
+
+
+def test_convergence_experiment_validation():
+    op = diagonal(lambda k: 1.0 / k, 10, domain_exponent=1.0)
+    with pytest.raises(ValueError, match="x_true must have length 10"):
+        convergence_experiment(op, np.ones(9), [1e-2])
+    with pytest.raises(ValueError, match="delta schedule is empty"):
+        convergence_experiment(op, spike(10, 1, 1.0), [])
 
 
 def test_convergence_experiment_flags_failure_mode(master_directions):
