@@ -172,6 +172,17 @@ def catalog() -> list[CatalogEntry]:
     Attributes of composed entries coincide with what the operator
     combinators propagate; a test pins that down.
     """
+    # D1 and D2 pair the same two blocks in either order, so they share one record
+    diagonal_pair = OperatorAttributes(
+        range_closed=False,
+        range_has_closed_infdim_subspace=True,
+        nullspace_complemented=True,
+        strictly_singular=False,
+        compact=False,
+        injective=True,
+        surjective=False,
+        weakstar_to_weak_continuous=None,
+    )
     return [
         CatalogEntry(
             "B",
@@ -245,32 +256,14 @@ def catalog() -> list[CatalogEntry]:
         CatalogEntry(
             "D1",
             "compact diagonal paired with the identity",
-            OperatorAttributes(
-                range_closed=False,
-                range_has_closed_infdim_subspace=True,
-                nullspace_complemented=True,
-                strictly_singular=False,
-                compact=False,
-                injective=True,
-                surjective=False,
-                weakstar_to_weak_continuous=None,
-            ),
+            diagonal_pair,
             Verdict.TYPE_I,
             False,
         ),
         CatalogEntry(
             "D2",
             "identity paired with the compact diagonal",
-            OperatorAttributes(
-                range_closed=False,
-                range_has_closed_infdim_subspace=True,
-                nullspace_complemented=True,
-                strictly_singular=False,
-                compact=False,
-                injective=True,
-                surjective=False,
-                weakstar_to_weak_continuous=None,
-            ),
+            diagonal_pair,
             Verdict.TYPE_I,
             False,
         ),

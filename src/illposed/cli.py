@@ -10,11 +10,12 @@ Examples
   illposed convergence --operator diag --n 50 --x-true e:1
   illposed growth --operator diag --sizes 8,64,512
 
-Every command writes a CSV report (JSON mirror via --format json) that is
-byte-identical across reruns with the same configuration; classify --flags
-writes one verdict,hybrid,violations row, its rationale in a "# rationale="
-line (in "meta" for JSON).  Exit codes: 0 success, 2 invalid input (an
-array too large to allocate included), 3 flagged numerical rows.
+Every command writes a CSV report (JSON via --format json; probe's JSON is
+its label, sup_tail and verdict only, without the pairings), byte-identical
+across reruns with the same configuration; classify --flags writes one
+verdict,hybrid,violations row, its rationale in a "# rationale=" line (in
+"meta" for JSON).  Exit codes: 0 success, 2 invalid input (an array too
+large to allocate included), 3 flagged numerical rows.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import islice, repeat
 from operator import itemgetter
 
@@ -40,7 +39,7 @@ __all__ = [
 
 
 class _Row(tuple):
-    """Row ``row`` of an enumeration as ``(support, index, row, source)``.
+    """Row ``row`` of an enumeration as ``(support, row, source)``.
 
     ``source = (canon matrix, realized matrix, q)`` is shared by every row of
     a set, and ``canon`` and ``realized`` are read from it on demand.  Rows
@@ -51,28 +50,24 @@ class _Row(tuple):
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     support = property(itemgetter(0), doc="Largest 1-based coordinate with a nonzero entry.")
-    index = property(itemgetter(1), doc="1-based index in the enumeration.")
-    q = property(lambda row: row[3][2], doc="The exponent of the sphere.")
+    index = property(lambda row: row[1] + 1, doc="1-based index in the enumeration.")
+    q = property(lambda row: row[2][2], doc="The exponent of the sphere.")
 
     @property
     def canon(self) -> tuple[int, ...]:
-        support, _, row, source = self
+        support, row, source = self
         return tuple(source[0][row, :support].tolist())
 
     @property
     def realized(self) -> np.ndarray:
         """A read-only view of the row of the shared realized matrix."""
-        support, _, row, source = self
+        support, row, source = self
         return source[1][row, :support]
 
     def realized_padded(self, dim: int) -> np.ndarray:
         out = np.zeros(dim)
         out[: self.support] = self.realized
         return out
-
-
-# a row handle from its fields; the enumeration validated them block-wise
-_row_handle = partial(tuple.__new__, _Row)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -121,8 +116,8 @@ class DirectionSet:
 
     def _items(self, start: int, stop: int):
         # the handles of rows start .. stop - 1, lazily
-        fields = self.support[start:stop].tolist(), range(start + 1, stop + 1), range(start, stop)
-        return map(_row_handle, zip(*fields, repeat((self.canon, self.realized, self.q))))
+        source = self.canon, self.realized, self.q
+        return map(_Row, zip(self.support[start:stop].tolist(), range(start, stop), repeat(source)))
 
     def __iter__(self):
         n = len(self)

@@ -430,8 +430,7 @@ def injective_counterexample(n: int) -> TruncatedOperator:
         raise ValueError("n must be >= 2")
     entries = np.zeros((n, n))
     entries[0, :] = 1.0
-    for k in range(2, n + 1):
-        entries[k - 1, k - 1] = 1.0 / k
+    np.fill_diagonal(entries[1:, 1:], 1.0 / np.arange(2, n + 1))
     return TruncatedOperator(
         entries,
         SpaceTag.ell(1.0, n),

@@ -349,6 +349,8 @@ def minimizer_family_distance(
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..{n}")
     base = soft_threshold(lam, alpha)
     ki, li = k - 1, int(directions[:n].antipodes[k - 1]) - 1
     if base == 0.0 or li < 0:
@@ -402,8 +404,10 @@ def collapse_experiment(
     closely, so the minimizer's mass migrates to ever-later indices: every
     fixed coordinate decays to zero while the l^1 norm stays near
     ||y||_2 - alpha.  The data must not be proportional to any enumerated
-    direction and must satisfy ||y||_2 > alpha.
+    direction and must satisfy ||y||_2 > alpha > 0.
     """
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError("alpha must be a positive finite number")
     y = np.asarray(y, dtype=float)
     _check_data(y)
     norm_y = float(np.linalg.norm(y))

@@ -450,6 +450,9 @@ def test_empty_schedule_or_zero_size_names_the_option(tmp_path, capsys, argv, op
          "--gammas 100000000000000000000 has no room inside (-0.3, 0.0)"),
         (["verify-theorem", "--alpha", "5e-324", "--multipliers", "2", "--depth", "60",
           "--indices", "17"], "--gammas 5 has no room inside (-5e-324, 0.0)"),
+        (["collapse", "--y", "1,2,3", "--alpha", "-1"], "alpha must be a positive finite number"),
+        (["collapse", "--y", "1,2,3.5", "--alpha", "inf", "--depths", "50"],
+         "alpha must be a positive finite number"),
     ],
 )
 def test_malformed_option_value_exits_2_naming_the_option(tmp_path, capsys, argv, message):

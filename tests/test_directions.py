@@ -493,7 +493,7 @@ def test_indexed_item_out_of_range_raises_index_error():
     assert dirs[:3][-1].canon == dirs[2].canon
 
 
-# Items are thin row handles on the set's arrays: (support, index, row, source)
+# Items are thin row handles on the set's arrays: (support, row, source)
 
 
 def test_iterated_enumeration_is_freed_by_reference_counting():

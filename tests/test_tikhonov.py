@@ -768,11 +768,17 @@ def test_closed_form_gamma_validation(master_directions):
 
 @pytest.mark.parametrize(
     "k, alpha, message", [(0, 0.3, "k must be in 1..200"), (201, 0.3, "k must be in 1..200"),
-                          (5, -0.1, "alpha must be nonnegative")]
+                          (5, -0.1, "alpha must be nonnegative"), (-3, 0.3, "k must be in 1..200")]
 )
 def test_closed_form_rejects_an_index_or_alpha_out_of_range(master_directions, k, alpha, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         closed_form_minimizer(master_directions[:200], k, 1.0, alpha)
+    if message.startswith("k must"):
+        # the family distance checks k too: unchecked, 0 and -3 read a spike from the end of x
+        x = np.zeros(200)
+        x[16], x[199] = 0.7, 5.0
+        with pytest.raises(ValueError, match=re.escape(message)):
+            minimizer_family_distance(x, master_directions[:200], k, 1.0, alpha)
 
 
 def test_gamma_family_shares_objective_and_optimality(b200, master_directions):
@@ -815,6 +821,10 @@ def test_collapse_validation(master_directions):
         collapse_experiment(master_directions, np.array([1.0, 0.7, 0.3]), 0.1, [])
     with pytest.raises(ValueError, match="depths must be positive"):
         collapse_experiment(master_directions, np.array([1.0, 0.7, 0.3]), 0.1, [50, 0])
+    # alpha is checked first, whatever y and the depths
+    for alpha in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha must be a positive finite number"):
+            collapse_experiment(master_directions, np.array([1.0, 2.0, 3.0]), alpha, [4034])
 
 
 def test_collapse_rows_track_coverage(master_directions):
