@@ -2,7 +2,7 @@
 
 Examples
 --------
-  illposed enumerate --q 2 --support 2 --entry 1
+  illposed enumerate --support 2 --entry 1
   illposed verify-theorem --depth 200 --alpha 0.3
   illposed collapse --y random3 --alpha 0.1 --depths 50,200,800,3200
   illposed probe --operator B --eta zeta:1 --n 2000
@@ -126,7 +126,6 @@ def _directions(args):
     """
     default = EnumerationParams()
     params = EnumerationParams(
-        q=getattr(args, "q", default.q),
         max_support=getattr(args, "support", default.max_support),
         max_entry=getattr(args, "entry", default.max_entry),
     )
@@ -415,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list unit-sphere directions")
-    p.add_argument("--q", type=float, default=EnumerationParams().q)
     _add_enum_bounds(p)
     _add_common(p)
     p.set_defaults(func=cmd_enumerate)

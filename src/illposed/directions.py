@@ -1,4 +1,4 @@
-"""Deterministic enumeration of rational directions on the unit sphere of l^q.
+"""Deterministic enumeration of rational directions on the unit sphere of l^2.
 
 A direction is a primitive integer vector (gcd of the absolute entries is 1,
 sign pattern preserved) together with its normalized floating-point
@@ -20,8 +20,6 @@ and compare by identity.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from operator import itemgetter
@@ -41,8 +39,8 @@ __all__ = [
 class _Row(tuple):
     """Row ``row`` of an enumeration as ``(support, row, source)``.
 
-    ``source = (canon matrix, realized matrix, q)`` is shared by every row of
-    a set, and ``canon`` and ``realized`` are read from it on demand.  Rows
+    ``source = (canon matrix, realized matrix)`` is shared by every row of a
+    set, and ``canon`` and ``realized`` are read from it on demand.  Rows
     compare and hash by identity, so no comparison touches the shared arrays.
     """
 
@@ -51,7 +49,6 @@ class _Row(tuple):
 
     support = property(itemgetter(0), doc="Largest 1-based coordinate with a nonzero entry.")
     index = property(lambda row: row[1] + 1, doc="1-based index in the enumeration.")
-    q = property(lambda row: row[2][2], doc="The exponent of the sphere.")
 
     @property
     def canon(self) -> tuple[int, ...]:
@@ -89,22 +86,20 @@ class DirectionSet:
     ``dirs[:n]``, which share the arrays; any other slice raises ValueError.
     ``enumerate_directions`` builds one.
 
-    Items are row handles on the arrays (``support``, ``index``, ``q``,
-    ``canon``, ``realized``, ``realized_padded``), built on demand and
-    compared and hashed by identity, so two handles of one row may differ.
-    Iteration appends the handles not yet built to ``_table``, in order
-    (``_table[i]`` is item i), and a prefix slice shares that table with its
-    parent, so iterating any number of prefixes builds each handle once.  An
-    integer index past the table builds the one handle without storing it.
-    A handle holds the arrays, never the set, so reference counting alone
-    frees both.
+    Items are row handles on the arrays (``support``, ``index``, ``canon``,
+    ``realized``, ``realized_padded``), built on demand and compared and
+    hashed by identity, so two handles of one row may differ.  Iteration
+    appends the handles not yet built to ``_table``, in order (``_table[i]``
+    is item i), and a prefix slice shares that table with its parent, so
+    iterating any number of prefixes builds each handle once.  An integer
+    index past the table builds the one handle without storing it.  A handle
+    holds the arrays, never the set, so reference counting alone frees both.
     """
 
     canon: np.ndarray
     support: np.ndarray
     realized: np.ndarray
     antipodes: np.ndarray
-    q: float
     _table: list[_Row] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -116,7 +111,7 @@ class DirectionSet:
 
     def _items(self, start: int, stop: int):
         # the handles of rows start .. stop - 1, lazily
-        source = self.canon, self.realized, self.q
+        source = self.canon, self.realized
         return map(_Row, zip(self.support[start:stop].tolist(), range(start, stop), repeat(source)))
 
     def __iter__(self):
@@ -143,7 +138,6 @@ class DirectionSet:
             self.support[:stop],
             self.realized[:stop],
             np.where(antipodes <= stop, antipodes, 0),
-            self.q,
             self._table,
         )
 
@@ -152,20 +146,17 @@ class DirectionSet:
 class EnumerationParams:
     """Bounds defining a finite enumeration prefix: support s, entries in [-m, m]."""
 
-    q: float = 2.0
     max_support: int = 3
     max_entry: int = 8
 
     def __post_init__(self) -> None:
         if self.max_support < 1 or self.max_entry < 1:
             raise ValueError("max_support and max_entry must be >= 1")
-        if not 1.0 < self.q < math.inf:
-            raise ValueError("q must satisfy 1 < q < inf")
 
 
-def _primitive_rows(support: int, axis: np.ndarray, powers: np.ndarray, q: float):
+def _primitive_rows(support: int, axis: np.ndarray, powers: np.ndarray):
     # The primitive vectors of exact support `support` on the descending axis,
-    # shell by shell, their l^q norms and the shell sizes.
+    # shell by shell, their l^2 norms and the shell sizes.
     entry = len(powers) - 1
     lines = [axis.reshape((-1,) + (1,) * (support - 1 - j)) for j in range(support)]
     top = gcd = np.abs(lines[0])
@@ -179,13 +170,13 @@ def _primitive_rows(support: int, axis: np.ndarray, powers: np.ndarray, q: float
     # C order is descending lexicographic; the stable sort keeps it, dropped points first
     picked = np.argsort(shell, kind="stable")[counts[0]:]
     rows = np.stack(np.broadcast_arrays(*lines), -1).reshape(-1, support).take(picked, 0)
-    # float(sum(|v|**q) ** (1/q)) once per magnitude tuple: the same powers,
-    # the same row sum (C-contiguous: from 8 terms numpy sums pairwise), and the
-    # scalar pow once per distinct sum (the vectorized pow may differ in the last bit).
+    # float(sum(|v|**2) ** 0.5) once per magnitude tuple: the same powers, the same
+    # row sum (C-contiguous: from 8 terms numpy sums pairwise), the scalar pow once per
+    # distinct sum (np.sqrt differs in the last bit on 2,482 sums to 3e6, first 2,921).
     table = np.indices((entry + 1,) * support).reshape(support, -1).T
     sums = np.ascontiguousarray(powers[table]).sum(axis=1)
     distinct, which = np.unique(sums, return_inverse=True)
-    norms = np.array([float(s ** (1.0 / q)) for s in distinct])[which]
+    norms = np.array([float(s ** 0.5) for s in distinct])[which]
     return rows, norms[tuple_index.reshape(-1)[picked]], counts[1:]
 
 
@@ -198,11 +189,11 @@ def enumerate_directions(params: EnumerationParams) -> DirectionSet:
     """
     entry, widths = params.max_entry, range(1, params.max_support + 1)
     axis = np.arange(entry, -entry - 1, -1, dtype=np.min_scalar_type(-entry - 1))
-    powers = np.arange(entry + 1, dtype=float) ** params.q
+    powers = np.arange(entry + 1, dtype=float) ** 2.0
     # allocate first, one intp per point of the widest grid (its argsort): bounds
     # too large to allocate fail before any block is built
     np.empty(len(axis) ** params.max_support, dtype=np.intp)
-    blocks = [_primitive_rows(width, axis, powers, params.q) for width in widths]
+    blocks = [_primitive_rows(width, axis, powers) for width in widths]
     sizes = [len(rows) for rows, _, _ in blocks]
     counts = np.concatenate([shells for _, _, shells in blocks])
     canon = np.zeros((sum(sizes), params.max_support), dtype=np.int64)
@@ -217,15 +208,13 @@ def enumerate_directions(params: EnumerationParams) -> DirectionSet:
     # a shell mirrors onto itself: of the rows [a, b), row i faces row a + b - 1 - i
     antipodes = np.repeat(2 * ends - counts, counts) - np.arange(len(canon))
     support = np.repeat(widths, sizes)
-    return DirectionSet(canon, support, columns.T, antipodes, params.q)
+    return DirectionSet(canon, support, columns.T, antipodes)
 
 
 def _correlations(directions: DirectionSet, y: np.ndarray) -> np.ndarray:
     """<y/||y||_2, zeta> for every direction of a nonempty set on the unit sphere of l^2."""
     if not directions:
         raise ValueError("directions must be nonempty")
-    if directions.q != 2.0:
-        raise ValueError("correlations need directions on the unit sphere of l^2 (q = 2)")
     y = np.asarray(y, dtype=float)
     norm = float(np.linalg.norm(y))
     if norm == 0.0:
@@ -240,7 +229,7 @@ def coverage(directions: DirectionSet, y: np.ndarray) -> tuple[int, float]:
 
     Returns ``(index, value)`` where index is the 1-based direction index
     attaining the maximum of <y/||y||_2, zeta> and ties break toward the
-    smallest index.  Only directions on the unit sphere of l^2 are supported.
+    smallest index.
     """
     corr = _correlations(directions, y)
     best = int(np.argmax(corr))  # argmax returns the first maximizer
@@ -260,15 +249,13 @@ def _row_texts(directions: DirectionSet, template, sep: str) -> str:
 
 
 def directions_to_csv(directions: DirectionSet) -> str:
-    """The ``index,canon,q`` table, canon entries joined by ``;``."""
-    q = f"{directions.q:.17g}"
-    row = _row_texts(directions, lambda width: "%d," + ";".join(["%d"] * width) + f",{q}\n", "")
+    """The ``index,canon,q`` table, canon entries joined by ``;``; q always reads 2."""
+    row = _row_texts(directions, lambda width: "%d," + ";".join(["%d"] * width) + ",2\n", "")
     return "index,canon,q\n" + row
 
 
 def directions_to_json(directions: DirectionSet) -> str:
-    """The records ``{"index", "canon", "q"}`` as ``json.dumps(records, indent=2)`` writes them."""
-    q = json.dumps(directions.q)
-    head, tail = '  {\n    "index": %d,\n    "canon": [\n', f'\n    ],\n    "q": {q}\n  }}'
+    """The records ``{"index", "canon", "q": 2.0}`` as ``json.dumps(..., indent=2)`` writes them."""
+    head, tail = '  {\n    "index": %d,\n    "canon": [\n', '\n    ],\n    "q": 2.0\n  }'
     records = _row_texts(directions, lambda w: head + ",\n".join(["      %d"] * w) + tail, ",\n")
     return f"[\n{records}\n]" if directions else "[]"

@@ -187,7 +187,7 @@ INJECTIVE_COUNTEREXAMPLE_ATTRIBUTES = OperatorAttributes(
 
 
 def mazur(directions: DirectionSet, n_cols: int, n_rows: int) -> TruncatedOperator:
-    """Truncation of the surjection of l^1 onto l^q built from unit directions.
+    """Truncation of the surjection of l^1 onto l^2 built from unit directions.
 
     Column k is the realized direction zeta^(k), padded with zeros.  A
     direction whose support exceeds n_rows is an error: truncating a column
@@ -210,7 +210,7 @@ def mazur(directions: DirectionSet, n_cols: int, n_rows: int) -> TruncatedOperat
     return TruncatedOperator(
         entries,
         SpaceTag.ell(1.0, n_cols),
-        SpaceTag.ell(directions.q, n_rows),
+        SpaceTag.ell(2.0, n_rows),
         MAZUR_ATTRIBUTES,
         "mazur",
         mazur_truncation=True,

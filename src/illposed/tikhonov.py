@@ -348,9 +348,9 @@ def minimizer_family_distance(
     one-component spikes).
     """
     x = np.asarray(x, dtype=float)
-    n = len(x)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}")
+    n, last = len(x), min(len(x), len(directions))
+    if not 1 <= k <= last:
+        raise ValueError(f"k must be in 1..{last}")
     base = soft_threshold(lam, alpha)
     ki, li = k - 1, int(directions[:n].antipodes[k - 1]) - 1
     if base == 0.0 or li < 0:

@@ -46,9 +46,9 @@ def test_enumerate_json_round_trips(tmp_path):
     code, text = run(tmp_path, "enumerate", "--support", "2", "--entry", "1",
                      "--format", "json", name="dirs.json")
     assert code == 0
-    fresh = enumerate_directions(EnumerationParams(2.0, 2, 1))
+    fresh = enumerate_directions(EnumerationParams(2, 1))
     assert json.loads(text) == [
-        {"index": d.index, "canon": list(d.canon), "q": d.q} for d in fresh
+        {"index": d.index, "canon": list(d.canon), "q": 2.0} for d in fresh
     ]
 
 
@@ -387,6 +387,12 @@ def test_seed_is_rejected_where_nothing_is_drawn(tmp_path, capsys, command):
     assert capsys.readouterr().err == "error: unknown config key 'seed'\n"
 
 
+def test_the_sphere_exponent_is_no_option(tmp_path, capsys):
+    # every direction lies on the unit sphere of l^2, and the q column reads 2
+    assert run(tmp_path, "enumerate", "--q", "2")[0] == 2
+    assert "unrecognized arguments: --q 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -656,6 +662,7 @@ def test_config_file_values_match_the_flags_they_replace(tmp_path):
         ("enumerate", {"config": "other.json"}),
         ("enumerate", {"func": None}),
         ("enumerate", [["support", 2]]),
+        ("enumerate", {"q": 2}),
     ],
 )
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, config):
@@ -740,9 +747,9 @@ def test_reports_are_deterministic(tmp_path):
 # README outputs made of integers and strings only, so no BLAS or CPU
 # difference can move their bytes; outputs with computed floats stay out
 README_DIGESTS = {
-    ("enumerate --q 2 --support 2 --entry 1", "csv"):
+    ("enumerate --support 2 --entry 1", "csv"):
         "3c005f9f9e69a31bd85aa42038cc5009eef802a5031c9a0a12074967e41844a4",
-    ("enumerate --q 2 --support 2 --entry 1", "json"):
+    ("enumerate --support 2 --entry 1", "json"):
         "2c1e717f2686e6155a56419fa1c3f3e9a45aac1c3d4bbdbe7c1ad1352d442bf7",
     ("classify --catalog", "csv"):
         "f180f7070f6a491462a6b24757692b7962bf6f355fac0c3c13f7cb3569c6603f",
@@ -766,14 +773,14 @@ def test_readme_outputs_without_computed_floats_match_their_digest(tmp_path, com
 # Enumerate outputs that are no README command, over several supports and
 # entries, made of integers only and pinned the same way
 ENUMERATE_DIGESTS = {
-    ("enumerate --q 3 --support 3 --entry 4", "csv"):
-        "d75b17e6595330851fb89d65f60b88d7a232fdaac58b316062c45c25c4a8bcc1",
-    ("enumerate --q 3 --support 3 --entry 4", "json"):
-        "7cf17e9606783ec42246f0fe4bf2da6a067ab5bdf2a2e39bd150f58bd73458a9",
-    ("enumerate --q 1.5 --support 4 --entry 3", "csv"):
-        "ae836a2cc5320df2cd58cb728ee72a9a9e375bed77d938cf3f2b2545dfe587a8",
-    ("enumerate --q 1.5 --support 4 --entry 3", "json"):
-        "863e20de8fe5e243573b6479e46fdb47873f19f7721e367f98130e9420c2e3f8",
+    ("enumerate --support 3 --entry 4", "csv"):
+        "0d032c539a43f9415723af63cc90d46fa3c75bf7edb33c740113af8b1b7e9339",
+    ("enumerate --support 3 --entry 4", "json"):
+        "7f9d785adc031a9c48eabc89957c1252073d008c3fab792b5f657ca1dfe63161",
+    ("enumerate --support 4 --entry 3", "csv"):
+        "551f6a8582dceb767082cdda15566d528a4d51c2e38353e9a00a28dce8bd1b21",
+    ("enumerate --support 4 --entry 3", "json"):
+        "e21e1d06401e4f38de7a98948d1909933b09ae4aa8aee6b3e10ce88674341c65",
 }
 
 

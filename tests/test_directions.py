@@ -24,10 +24,10 @@ class RationalDirection:
     """The reference direction: a validated canon vector and its unit realization.
 
     The realization is computed the way enumerations must reproduce bit for
-    bit: ``np.sum(|v|**q) ** (1/q)`` over the canon vector, as floats.
+    bit: ``np.sum(|v|**2) ** 0.5`` over the canon vector, as floats.
     """
 
-    def __init__(self, canon: tuple[int, ...], index: int, q: float = 2.0):
+    def __init__(self, canon: tuple[int, ...], index: int):
         if not canon or canon[-1] == 0:
             raise ValueError("canon must be nonzero with no trailing zeros")
         if any(not isinstance(c, int) for c in canon):
@@ -36,13 +36,11 @@ class RationalDirection:
             raise ValueError(f"canon {tuple(canon)} is not primitive")
         if index < 1:
             raise ValueError("index must be a positive integer")
-        if not 1.0 < q < math.inf:
-            raise ValueError("q must satisfy 1 < q < inf")
         vec = np.array(canon, dtype=float)
-        norm = float(np.sum(np.abs(vec) ** q) ** (1.0 / q))
+        norm = float(np.sum(np.abs(vec) ** 2.0) ** 0.5)
         vec /= norm
         vec.flags.writeable = False
-        self.canon, self.index, self.q, self.realized = tuple(canon), index, q, vec
+        self.canon, self.index, self.realized = tuple(canon), index, vec
         self.support = len(canon)
 
     def antipode_canon(self) -> tuple[int, ...]:
@@ -54,13 +52,13 @@ def canons(directions):
 
 
 def test_single_coordinate_enumeration():
-    dirs = enumerate_directions(EnumerationParams(2.0, 1, 1))
+    dirs = enumerate_directions(EnumerationParams(1, 1))
     assert canons(dirs) == [(1,), (-1,)]
     assert [d.index for d in dirs] == [1, 2]
 
 
 def test_multiples_are_never_emitted():
-    dirs = enumerate_directions(EnumerationParams(2.0, 2, 2))
+    dirs = enumerate_directions(EnumerationParams(2, 2))
     cs = canons(dirs)
     assert (2, 2) not in cs
     assert (1, 1) in cs
@@ -77,13 +75,13 @@ def test_two_coordinate_unit_shell_matches_bruteforce():
         trimmed = v[:1] if v[1] == 0 else v
         if math.gcd(*[abs(c) for c in trimmed]) == 1:
             expected.add(trimmed)
-    dirs = enumerate_directions(EnumerationParams(2.0, 2, 1))
+    dirs = enumerate_directions(EnumerationParams(2, 1))
     assert len(dirs) == 8
     assert set(canons(dirs)) == expected
 
 
 def test_determinism_and_sequential_indices():
-    params = EnumerationParams(2.0, 3, 3)
+    params = EnumerationParams(3, 3)
     first = enumerate_directions(params)
     second = enumerate_directions(params)
     assert canons(first) == canons(second)
@@ -91,12 +89,12 @@ def test_determinism_and_sequential_indices():
 
 
 def test_no_duplicate_canons():
-    dirs = enumerate_directions(EnumerationParams(2.0, 3, 4))
+    dirs = enumerate_directions(EnumerationParams(3, 4))
     assert len(set(canons(dirs))) == len(dirs)
 
 
 def test_antipodal_closure_within_shell():
-    dirs = enumerate_directions(EnumerationParams(2.0, 3, 3))
+    dirs = enumerate_directions(EnumerationParams(3, 3))
     present = set(canons(dirs))
     for d in dirs:
         anti = tuple(-c for c in d.canon)
@@ -105,22 +103,20 @@ def test_antipodal_closure_within_shell():
         assert (len(anti), max(map(abs, anti))) == shell
 
 
-@pytest.mark.parametrize("q", [2.0, 3.0, 1.5])
-def test_unit_norm_realization(q):
-    dirs = enumerate_directions(EnumerationParams(q, 2, 3))
+def test_unit_norm_realization():
+    dirs = enumerate_directions(EnumerationParams(2, 3))
     for d in dirs:
-        norm = np.sum(np.abs(d.realized) ** q) ** (1.0 / q)
-        assert abs(norm - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(d.realized) - 1.0) <= 1e-12
 
 
 def test_larger_support_bound_extends_enumeration():
-    small = enumerate_directions(EnumerationParams(2.0, 2, 3))
-    large = enumerate_directions(EnumerationParams(2.0, 3, 3))
+    small = enumerate_directions(EnumerationParams(2, 3))
+    large = enumerate_directions(EnumerationParams(3, 3))
     assert canons(large)[: len(small)] == canons(small)
 
 
 def test_handles_compare_and_hash_by_identity():
-    params = EnumerationParams(2.0, 2, 2)
+    params = EnumerationParams(2, 2)
     first, second = enumerate_directions(params), enumerate_directions(params)
     a, b = first[0], second[0]
     assert a.canon == b.canon
@@ -136,7 +132,7 @@ def test_handles_compare_and_hash_by_identity():
 @functools.cache
 def _rows_of_4_9():
     # canon row -> row number over every primitive vector of support <= 4, entries <= 9
-    dirs = enumerate_directions(EnumerationParams(2.0, 4, 9))
+    dirs = enumerate_directions(EnumerationParams(4, 9))
     return dirs, {row: i for i, row in enumerate(map(tuple, dirs.canon.tolist()))}
 
 
@@ -158,11 +154,11 @@ def test_primitive_vectors_realize_to_unit_norm(raw, scale):
 
 
 def test_coverage_exact_members():
-    dirs = enumerate_directions(EnumerationParams(2.0, 1, 1))
+    dirs = enumerate_directions(EnumerationParams(1, 1))
     idx, corr = coverage(dirs, np.array([1.0]))
     assert idx == 1 and abs(corr - 1.0) <= 1e-15
 
-    dirs = enumerate_directions(EnumerationParams(2.0, 2, 1))
+    dirs = enumerate_directions(EnumerationParams(2, 1))
     idx, corr = coverage(dirs, np.array([1.0, 1.0]))
     assert dirs[idx - 1].canon == (1, 1)
     assert abs(corr - 1.0) <= 1e-15
@@ -171,7 +167,7 @@ def test_coverage_exact_members():
 def test_coverage_three_one_oracle():
     # oracle: evaluate the eight inner products directly; the winner is +e1
     # with 3/sqrt(10), and (1, 1)/sqrt(2) is second best with 4/sqrt(20)
-    dirs = enumerate_directions(EnumerationParams(2.0, 2, 1))
+    dirs = enumerate_directions(EnumerationParams(2, 1))
     y = np.array([3.0, 1.0])
     yhat = y / np.linalg.norm(y)
     dots = [float(yhat @ d.realized_padded(2)) for d in dirs]
@@ -186,18 +182,20 @@ def test_coverage_three_one_oracle():
 
 
 def test_coverage_validation():
-    dirs = enumerate_directions(EnumerationParams(2.0, 1, 1))
+    dirs = enumerate_directions(EnumerationParams(1, 1))
     with pytest.raises(ValueError):
         coverage(dirs, np.zeros(3))
-    with pytest.raises(ValueError, match="q = 2"):
-        coverage(enumerate_directions(EnumerationParams(3.0, 1, 1)), np.array([1.0]))
     with pytest.raises(ValueError, match="nonempty"):
         coverage(dirs[:0], np.array([1.0]))
 
 
 @pytest.mark.parametrize(
     "bounds, message",
-    [({"q": 1.0}, "1 < q < inf"), ({"q": math.inf}, "1 < q < inf"), ({"max_entry": 0}, ">= 1")],
+    [
+        ({"max_support": 0}, ">= 1"),
+        ({"max_support": -1, "max_entry": 5}, ">= 1"),
+        ({"max_entry": 0}, ">= 1"),
+    ],
 )
 def test_enumeration_params_validation(bounds, message):
     with pytest.raises(ValueError, match=message):
@@ -210,7 +208,7 @@ def test_enumeration_params_validation(bounds, message):
 @pytest.mark.parametrize("support, entry", [(40, 1), (64, 3)])
 def test_enumeration_bounds_too_large_to_allocate_raise_before_any_block(support, entry):
     with pytest.raises(ValueError, match="Maximum allowed dimension exceeded"):
-        enumerate_directions(EnumerationParams(2.0, support, entry))
+        enumerate_directions(EnumerationParams(support, entry))
 
 
 def test_coverage_monotone_in_bounds():
@@ -218,14 +216,14 @@ def test_coverage_monotone_in_bounds():
     bounds = [(2, 2), (2, 3), (3, 3), (3, 4), (3, 6)]
     values = []
     for s, m in bounds:
-        dirs = enumerate_directions(EnumerationParams(2.0, s, m))
+        dirs = enumerate_directions(EnumerationParams(s, m))
         values.append(coverage(dirs, y)[1])
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
     assert values[-1] > 0.9
 
 
 def test_coverage_dense_for_four_dim_targets():
-    dirs = enumerate_directions(EnumerationParams(2.0, 4, 8))
+    dirs = enumerate_directions(EnumerationParams(4, 8))
     rng = np.random.default_rng(11)
     for _ in range(10):
         y = rng.standard_normal(4)
@@ -247,11 +245,11 @@ def test_coverage_dense_for_four_dim_targets():
 
 
 def test_json_round_trip():
-    params = EnumerationParams(3.0, 2, 2)
+    params = EnumerationParams(2, 2)
     parsed = json.loads(directions_to_json(enumerate_directions(params)))
-    assert parsed[0] == {"index": 1, "canon": [1], "q": 3.0}
+    assert parsed[0] == {"index": 1, "canon": [1], "q": 2.0}
     assert parsed == [
-        {"index": d.index, "canon": list(d.canon), "q": d.q}
+        {"index": d.index, "canon": list(d.canon), "q": 2.0}
         for d in _oracle_enumeration(params)
     ]
 
@@ -281,7 +279,7 @@ def _oracle_enumeration(params):
     for support in range(1, params.max_support + 1):
         for entry in range(1, params.max_entry + 1):
             for canon in _oracle_shell_vectors(support, entry):
-                directions.append(RationalDirection(canon, index, params.q))
+                directions.append(RationalDirection(canon, index))
                 index += 1
     return directions
 
@@ -319,16 +317,14 @@ def _assert_matches_oracle(got, expected):
     assert [d.canon for d in got] == [d.canon for d in expected]
     assert all(type(c) is int for d in got for c in d.canon)
     assert [d.index for d in got] == [d.index for d in expected]
-    assert all(d.q == e.q for d, e in zip(got, expected))
     for d, e in zip(got, expected):
         assert np.array_equal(d.realized, e.realized)
         assert not d.realized.flags.writeable
 
 
-@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("bounds", DIFF_BOUNDS)
-def test_columnar_enumeration_matches_oracle(bounds, q):
-    params = EnumerationParams(q, *bounds)
+def test_columnar_enumeration_matches_oracle(bounds):
+    params = EnumerationParams(*bounds)
     got = enumerate_directions(params)
     expected = _oracle_enumeration(params)
     assert isinstance(got, DirectionSet)
@@ -343,7 +339,7 @@ def test_columnar_enumeration_matches_oracle(bounds, q):
 
 @pytest.mark.parametrize("bounds", DIFF_BOUNDS)
 def test_antipode_array_matches_linear_scan(bounds):
-    dirs = enumerate_directions(EnumerationParams(2.0, *bounds))
+    dirs = enumerate_directions(EnumerationParams(*bounds))
     canon_list = [d.canon for d in dirs]
     positions = _oracle_antipodes(canon_list)
     assert None not in positions  # negation keeps every shell
@@ -358,8 +354,8 @@ def test_antipode_array_matches_linear_scan(bounds):
 
 
 def test_antipode_array_matches_verbatim_scan_on_small_bounds():
-    dirs = enumerate_directions(EnumerationParams(2.0, 3, 4))
-    oracle = _oracle_enumeration(EnumerationParams(2.0, 3, 4))
+    dirs = enumerate_directions(EnumerationParams(3, 4))
+    oracle = _oracle_enumeration(EnumerationParams(3, 4))
     for k in range(1, len(dirs) + 1):
         for limit in (None, k, 200) if k <= 200 else (None, k):
             assert dirs[:limit].antipodes[k - 1] == (_linear_scan(oracle, k, limit) or 0)
@@ -369,40 +365,41 @@ def test_antipode_array_matches_verbatim_scan_on_small_bounds():
 def test_shell_blocks_match_walk_at_the_int8_edge(support, entry):
     # the last shell of the enumeration is the one of exact support and entry
     expected = _oracle_shell_vectors(support, entry)
-    dirs = enumerate_directions(EnumerationParams(2.0, support, entry))
+    dirs = enumerate_directions(EnumerationParams(support, entry))
     last = dirs.canon[len(dirs) - len(expected) :, :support]
     assert [tuple(row) for row in last.tolist()] == expected
     assert np.abs(dirs.canon[: len(dirs) - len(expected)]).max() < entry
 
 
-@pytest.mark.parametrize("q", [1.5, 2.5])
-def test_realized_rows_match_constructor_where_numpy_sums_pairwise(q):
+@pytest.mark.parametrize("support, entry, step", [(9, 2, 997), (2, 54, 1)])
+def test_realized_rows_match_constructor_where_numpy_sums_pairwise(support, entry, step):
     # From 8 terms numpy's row sum is pairwise, not left to right, so rows of
     # support 8 and 9 check that the norms keep the constructor's rounding.
-    dirs = enumerate_directions(EnumerationParams(q, 9, 2))
+    # At (2, 54) every row is checked, (54, 25) at index 7066 among them: for
+    # |v|^2 = 3541 the constructor's scalar pow and np.sqrt differ in the last bit.
+    dirs = enumerate_directions(EnumerationParams(support, entry))
     starts = np.flatnonzero(np.diff(dirs.antipodes) > 0) + 1  # antipodes fall within a shell
-    sample = sorted({0, len(dirs) - 1, *starts, *(starts - 1), *range(0, len(dirs), 997)})
-    assert len(starts) == 9 * 2 - 2  # support 1 has no shell of entry 2
-    assert {8, 9} <= set(dirs.support[sample].tolist())
+    sample = sorted({0, len(dirs) - 1, *starts, *(starts - 1), *range(0, len(dirs), step)})
+    assert len(starts) == (support - 1) * entry  # support 1 has only the shell of entry 1
+    assert {support - 1, support} <= set(dirs.support[sample].tolist())
     for i in sample:
         canon = tuple(int(c) for c in dirs.canon[i, : dirs.support[i]])
-        expected = RationalDirection(canon, i + 1, q).realized
+        expected = RationalDirection(canon, i + 1).realized
         assert np.array_equal(dirs.realized[i, : len(canon)], expected), (i, canon)
 
 
 def test_columns_match_items():
-    dirs = enumerate_directions(EnumerationParams(3.0, 3, 4))
+    dirs = enumerate_directions(EnumerationParams(3, 4))
     assert dirs.canon.dtype == np.int64
     for i, d in enumerate(dirs):
         assert tuple(dirs.canon[i, : d.support]) == d.canon
         assert not dirs.canon[i, d.support :].any()
         assert dirs.support[i] == d.support
         assert np.array_equal(dirs.realized[i, : d.support], d.realized)
-    assert dirs.q == 3.0
 
 
 def test_direction_set_is_read_only():
-    dirs = enumerate_directions(EnumerationParams(2.0, 2, 3))
+    dirs = enumerate_directions(EnumerationParams(2, 3))
     arrays = (dirs.canon, dirs.support, dirs.realized, dirs.antipodes, dirs[0].realized)
     for array in arrays:
         with pytest.raises(ValueError):
@@ -414,7 +411,7 @@ def test_direction_set_is_read_only():
 
 
 def test_only_prefix_slices():
-    dirs = enumerate_directions(EnumerationParams(2.0, 2, 3))
+    dirs = enumerate_directions(EnumerationParams(2, 3))
     for key in (slice(1, None, 2), slice(-3, None), slice(None, None, -1)):
         with pytest.raises(ValueError, match="prefix slices"):
             dirs[key]
@@ -426,58 +423,55 @@ def test_only_prefix_slices():
 # prefix slices, each must be the validating constructor's item, bit for bit.
 
 
-def _assert_constructed(d, row, q):
-    expected = RationalDirection(d.canon, row + 1, q)
-    assert d.canon == expected.canon and d.index == expected.index and d.q == expected.q
+def _assert_constructed(d, row):
+    expected = RationalDirection(d.canon, row + 1)
+    assert d.canon == expected.canon and d.index == expected.index
     assert all(type(c) is int for c in d.canon)
     assert np.array_equal(d.realized, expected.realized)
     assert not d.realized.flags.writeable
 
 
-def _assert_on_demand_items(q, bounds, n):
-    params = EnumerationParams(q, *bounds)
+def _assert_on_demand_items(bounds, n):
+    params = EnumerationParams(*bounds)
     expected = _oracle_enumeration(params)
     n = min(n, len(expected))
     indexed = enumerate_directions(params)
     for row in (0, n - 1, len(expected) - 1, -1):
         d = indexed[row]
         assert d.canon == expected[row].canon
-        _assert_constructed(d, row % len(expected), q)
+        _assert_constructed(d, row % len(expected))
     full = enumerate_directions(params)
     prefix = full[:n]
     for row, d in enumerate(prefix):
         assert d.canon == expected[row].canon
-        _assert_constructed(d, row, q)
+        _assert_constructed(d, row)
     assert all(prefix[i] is full[i] for i in range(n))  # built once, shared
     for row, d in enumerate(full):
         assert d.canon == expected[row].canon
-        _assert_constructed(d, row, q)
+        _assert_constructed(d, row)
     assert all(a is b for a, b in zip(prefix, full))
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from([1.5, 2.0, 3.0]),
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=1, max_value=800),
 )
-@example(1.5, 3, 4, 100)
-@example(2.0, 3, 4, 100)
-@example(3.0, 3, 4, 100)
-def test_items_built_on_demand_match_the_constructor(q, support, entry, n):
-    _assert_on_demand_items(q, (support, entry), n)
+@example(3, 4, 100)
+def test_items_built_on_demand_match_the_constructor(support, entry, n):
+    _assert_on_demand_items((support, entry), n)
 
 
-@pytest.mark.parametrize("q, bounds", [(2.0, (3, 4)), (1.5, (2, 6)), (3.0, (4, 2))])
-def test_indexed_item_equals_the_iterated_one(q, bounds):
-    params = EnumerationParams(q, *bounds)
+@pytest.mark.parametrize("bounds", [(3, 4), (2, 6), (4, 2)])
+def test_indexed_item_equals_the_iterated_one(bounds):
+    params = EnumerationParams(*bounds)
     iterated = list(enumerate_directions(params))
     indexed = enumerate_directions(params)  # never iterated: each index builds its item
     for row, expected in enumerate(iterated):
         for d in (indexed[row], indexed[row - len(iterated)]):
             assert d.canon == expected.canon and all(type(c) is int for c in d.canon)
-            assert (d.index, d.q) == (expected.index, expected.q)
+            assert d.index == expected.index
             assert d.realized.shape == expected.realized.shape
             assert d.realized.tobytes() == expected.realized.tobytes()
             assert not d.realized.flags.writeable
@@ -485,7 +479,7 @@ def test_indexed_item_equals_the_iterated_one(q, bounds):
 
 
 def test_indexed_item_out_of_range_raises_index_error():
-    dirs = enumerate_directions(EnumerationParams(2.0, 2, 2))
+    dirs = enumerate_directions(EnumerationParams(2, 2))
     with pytest.raises(IndexError):
         dirs[len(dirs)]
     with pytest.raises(IndexError):
@@ -499,7 +493,7 @@ def test_indexed_item_out_of_range_raises_index_error():
 def test_iterated_enumeration_is_freed_by_reference_counting():
     # a handle that held its set would close a cycle set -> table -> handle -> set,
     # which only the cyclic collector frees
-    dirs = enumerate_directions(EnumerationParams(2.0, 3, 4))
+    dirs = enumerate_directions(EnumerationParams(3, 4))
     gc.disable()
     try:
         assert len(list(dirs)) == len(dirs) and len(list(dirs[:10])) == 10
@@ -510,17 +504,16 @@ def test_iterated_enumeration_is_freed_by_reference_counting():
         gc.enable()
 
 
-@pytest.mark.parametrize("q", [1.5, 2.0])
-def test_row_handles_read_their_row(q):
-    dirs = enumerate_directions(EnumerationParams(q, 3, 4))
+def test_row_handles_read_their_row():
+    dirs = enumerate_directions(EnumerationParams(3, 4))
     indexed = [dirs[i] for i in range(len(dirs))]  # before iteration: not stored
     iterated = list(dirs)
     for i in (0, 1, 57, len(dirs) - 1):
         for row in (indexed[i], iterated[i], dirs[i]):
             s = int(dirs.support[i])
             assert type(row.support) is int and type(row.index) is int
-            assert (row.support, row.index, row.q) == (s, i + 1, q)
-            expected = RationalDirection(row.canon, row.index, row.q)
+            assert (row.support, row.index) == (s, i + 1)
+            expected = RationalDirection(row.canon, row.index)
             assert not row.realized.flags.writeable
             assert np.shares_memory(row.realized, dirs.realized)
             assert row.realized.tobytes() == dirs.realized[i, :s].tobytes()
@@ -528,10 +521,10 @@ def test_row_handles_read_their_row(q):
 
 
 def test_row_handle_pads_its_realization():
-    dirs = enumerate_directions(EnumerationParams(2.0, 2, 4))
+    dirs = enumerate_directions(EnumerationParams(2, 4))
     row = int(np.flatnonzero((dirs.canon == (3, -4)).all(axis=1))[0])
     d = dirs[row]
-    assert (d.support, d.index, d.q, d.canon) == (2, row + 1, 2.0, (3, -4))
+    assert (d.support, d.index, d.canon) == (2, row + 1, (3, -4))
     assert type(d.canon[0]) is int
     np.testing.assert_array_equal(d.realized, [0.6, -0.8])
     np.testing.assert_array_equal(d.realized_padded(4), [0.6, -0.8, 0.0, 0.0])
@@ -540,17 +533,18 @@ def test_row_handle_pads_its_realization():
 
 
 def _json_oracle(directions):
-    return json.dumps([{"index": d.index, "canon": list(d.canon), "q": d.q} for d in directions], indent=2)
+    records = [{"index": d.index, "canon": list(d.canon), "q": 2.0} for d in directions]
+    return json.dumps(records, indent=2)
 
 
 def _csv_oracle(directions):
-    rows = [f"{d.index},{';'.join(map(str, d.canon))},{d.q:.17g}\n" for d in directions]
+    rows = [f"{d.index},{';'.join(map(str, d.canon))},2\n" for d in directions]
     return "index,canon,q\n" + "".join(rows)
 
 
-@pytest.mark.parametrize("q, bounds", [(2.0, (1, 1)), (1.5, (4, 3)), (3.0, (3, 5)), (2.5, (5, 2))])
-def test_column_writers_match_the_item_writers(q, bounds):
-    params = EnumerationParams(q, *bounds)
+@pytest.mark.parametrize("bounds", [(1, 1), (4, 3), (3, 5), (5, 2)])
+def test_column_writers_match_the_item_writers(bounds):
+    params = EnumerationParams(*bounds)
     dirs = enumerate_directions(params)
     oracle = _oracle_enumeration(params)
     for n in (0, 1, len(dirs) // 2, len(dirs)):

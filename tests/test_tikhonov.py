@@ -200,7 +200,7 @@ def test_active_set_path_reaches_closed_form(b200, master_directions):
     [(4, 3, (3, 8), 4034), (42, 4, (4, 6), 25536)],
 )
 def test_collapse_certifies_deep_generic_data(seed, size, bounds, depth):
-    directions = enumerate_directions(EnumerationParams(2.0, *bounds))
+    directions = enumerate_directions(EnumerationParams(*bounds))
     y = np.random.default_rng(seed).standard_normal(size)
     y /= np.linalg.norm(y)
     (row,) = collapse_experiment(directions, y, 0.1, [depth])
@@ -397,7 +397,7 @@ ROW_ENUMERATIONS = {3: (3, 8), 4: (4, 4), 5: (5, 3)}
 @pytest.fixture(scope="module")
 def row_directions():
     return {
-        rows: enumerate_directions(EnumerationParams(2.0, *bounds))
+        rows: enumerate_directions(EnumerationParams(*bounds))
         for rows, bounds in ROW_ENUMERATIONS.items()
     }
 
@@ -582,7 +582,7 @@ def test_grid_certificates_equal_the_recomputed_values(master_directions):
     ],
 )
 def test_collapse_certificates_equal_the_recomputed_values(seed, size, bounds, depths):
-    directions = enumerate_directions(EnumerationParams(2.0, *bounds))
+    directions = enumerate_directions(EnumerationParams(*bounds))
     y = np.random.default_rng(seed).standard_normal(size)
     y /= np.linalg.norm(y)
     for depth in depths:
@@ -768,17 +768,20 @@ def test_closed_form_gamma_validation(master_directions):
 
 @pytest.mark.parametrize(
     "k, alpha, message", [(0, 0.3, "k must be in 1..200"), (201, 0.3, "k must be in 1..200"),
-                          (5, -0.1, "alpha must be nonnegative"), (-3, 0.3, "k must be in 1..200")]
+                          (5, -0.1, "alpha must be nonnegative"), (-3, 0.3, "k must be in 1..200"),
+                          (250, 0.3, "k must be in 1..200")]
 )
 def test_closed_form_rejects_an_index_or_alpha_out_of_range(master_directions, k, alpha, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         closed_form_minimizer(master_directions[:200], k, 1.0, alpha)
     if message.startswith("k must"):
-        # the family distance checks k too: unchecked, 0 and -3 read a spike from the end of x
-        x = np.zeros(200)
-        x[16], x[199] = 0.7, 5.0
-        with pytest.raises(ValueError, match=re.escape(message)):
-            minimizer_family_distance(x, master_directions[:200], k, 1.0, alpha)
+        # the family distance checks k too: unchecked, 0 and -3 read a spike from the end of x,
+        # and past the set's end a longer x reads antipodes the set does not have
+        for width in (200, 300):
+            x = np.zeros(width)
+            x[16], x[199] = 0.7, 5.0
+            with pytest.raises(ValueError, match=re.escape(message)):
+                minimizer_family_distance(x, master_directions[:200], k, 1.0, alpha)
 
 
 def test_gamma_family_shares_objective_and_optimality(b200, master_directions):
@@ -942,7 +945,3 @@ def test_collapse_rejects_data_along_a_direction_of_its_prefix(master_directions
         collapse_experiment(master_directions, y, 0.1, [30, 40])
     (row,) = collapse_experiment(master_directions, y, 0.1, [30])
     assert row.depth == 30 and row.converged
-    with pytest.raises(ValueError, match="l\\^2"):
-        collapse_experiment(
-            enumerate_directions(EnumerationParams(3.0, 2, 2)), np.array([1.0, 0.3]), 0.1, [5]
-        )
