@@ -1,8 +1,9 @@
 """Finite truncations of sequence-space operators with declared structure.
 
 Matrices here stand in for bounded operators between l^p spaces (and finite
-products of them).  The numeric content is an ordinary dense matrix; the
-structural content is a set of tri-state flags describing the underlying
+products of them).  The numeric content is a dense block of rows over a
+diagonal, either possibly empty, and products are taken from these pieces;
+the structural content is a set of tri-state flags describing the underlying
 infinite-dimensional operator.  Flags are declared metadata: combinators
 propagate them only along implications that are mathematically sound, and
 everything else degrades to unknown (None).
@@ -10,8 +11,9 @@ everything else degrades to unknown (None).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -106,45 +108,142 @@ def _tri_and(*flags: bool | None) -> bool | None:
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Dense matrix truncation of a bounded operator, plus declared structure.
+    """Matrix truncation of a bounded operator, plus declared structure.
 
-    ``mazur_truncation`` records that the columns realize a dense unit-sphere
-    direction sequence; a few propagation rules are only valid for such
-    operators.  The entries are read-only: a matrix passed in is copied,
-    while the builders here pass a fresh array or a shared read-only view.
+    The matrix is ``rows``, a dense k x n_cols block at the top (k may be 0),
+    and ``diagonal``, value i at (r0 + i, c0 + i) for ``offset`` (r0, c0)
+    with r0 >= k; every other entry is zero.  ``mazur_truncation`` records
+    that the columns realize a dense unit-sphere direction sequence; a few
+    propagation rules are only valid for such operators.  The pieces are
+    read-only: arrays passed in are copied, while the builders here pass
+    fresh arrays or a shared read-only view.
     """
 
-    entries: np.ndarray
+    rows: np.ndarray
     domain_tag: SpaceTag
     codomain_tag: SpaceTag
     attributes: OperatorAttributes
     label: str
     mazur_truncation: bool = False
-    _fresh: InitVar[bool] = False  # builders here pass a new array or a read-only view: no copy
+    diagonal: np.ndarray = field(default_factory=lambda: np.empty(0))
+    offset: tuple[int, int] = (0, 0)
+    _fresh: InitVar[bool] = False  # builders here pass new arrays or a read-only view: no copy
 
     def __post_init__(self, _fresh: bool) -> None:
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] < 1 or entries.shape[1] < 1:
-            raise ValueError("entries must be a nonempty 2-d matrix")
-        if not np.all(np.isfinite(entries)):
+        rows = np.asarray(self.rows, dtype=float)
+        diag = np.asarray(self.diagonal, dtype=float)
+        (r0, c0), length = self.offset, len(diag)
+        if rows.ndim != 2 or diag.ndim != 1 or self.n_rows < 1 or self.n_cols < 1:
+            raise ValueError("rows must be 2-d, of a nonempty 2-d matrix")
+        if not (np.isfinite(rows).all() and np.isfinite(diag).all()):
             raise ValueError("entries must be finite")
-        if entries.shape != (self.codomain_tag.dim, self.domain_tag.dim):
+        if rows.shape[1] != self.n_cols or len(rows) > self.n_rows or length and not (
+            len(rows) <= r0 and r0 + length <= self.n_rows and 0 <= c0 <= self.n_cols - length
+        ):
             raise ValueError(
-                f"entries shape {entries.shape} does not match tags "
-                f"({self.codomain_tag.dim}, {self.domain_tag.dim})"
+                f"rows of shape {rows.shape} and {length} diagonal values at {self.offset} "
+                f"do not fit tags ({self.n_rows}, {self.n_cols})"
             )
         if not _fresh:
-            entries = entries.copy()
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
+            rows, diag = rows.copy(), diag.copy()
+        rows.flags.writeable = diag.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "diagonal", diag)
+        if len(rows) == self.n_rows:  # the rows block is the whole matrix
+            object.__setattr__(self, "entries", rows)
 
     @property
     def n_rows(self) -> int:
-        return self.entries.shape[0]
+        return self.codomain_tag.dim
 
     @property
     def n_cols(self) -> int:
-        return self.entries.shape[1]
+        return self.domain_tag.dim
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        """The dense matrix, read-only: the rows block when it fills the matrix,
+        else built on first request and kept."""
+        entries = np.zeros((self.n_rows, self.n_cols))
+        entries[: len(self.rows)] = self.rows
+        (r0, c0), length = self.offset, len(self.diagonal)
+        np.fill_diagonal(entries[r0 : r0 + length, c0 : c0 + length], self.diagonal)
+        entries.flags.writeable = False
+        return entries
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x, a new array; a rows block that fills the matrix is one product."""
+        if len(self.rows) == self.n_rows:
+            return self.rows @ x
+        out = np.zeros(self.n_rows)
+        out[: len(self.rows)] = self.rows @ x
+        (r0, c0), length = self.offset, len(self.diagonal)
+        out[r0 : r0 + length] = self.diagonal * x[c0 : c0 + length]
+        return out
+
+    def adjoint(self, eta: np.ndarray) -> np.ndarray:
+        """A^T eta, a new array; a rows block that fills the matrix is one product."""
+        if len(self.rows) == self.n_rows:
+            return self.rows.T @ eta
+        out = self.rows.T @ eta[: len(self.rows)]
+        (r0, c0), length = self.offset, len(self.diagonal)
+        out[c0 : c0 + length] += self.diagonal * eta[r0 : r0 + length]
+        return out
+
+    def column(self, j: int) -> np.ndarray:
+        """A e^(j+1), the column at 0-based index j; a view of rows that fill the matrix."""
+        if len(self.rows) == self.n_rows:
+            return self.rows[:, j]
+        out = np.zeros(self.n_rows)
+        out[: len(self.rows)] = self.rows[:, j]
+        r0, c0 = self.offset
+        if 0 <= j - c0 < len(self.diagonal):
+            out[r0 + j - c0] = self.diagonal[j - c0]
+        return out
+
+    def column_norms(self) -> np.ndarray:
+        """The l^2 norm of every column, a new array."""
+        norms = np.linalg.norm(self.rows, axis=0)
+        covered = norms[self.offset[1] : self.offset[1] + len(self.diagonal)]
+        np.hypot(covered, self.diagonal, out=covered)
+        return norms
+
+    def smallest_singular_value(self) -> float:
+        """sigma_min from the pieces, counting as the SVD of the dense matrix does.
+
+        Uncovered rows and columns add zeros; rows beside the diagonal pool
+        their SVD with its magnitudes.  One row r over a diagonal, no wider
+        than tall, has A^T A = diag(delta) + r r^T: for distinct delta and
+        nonzero r its least eigenvalue is delta_1 + t, t the least root of the
+        secular equation t (1 + sum_j r_j^2 / (delta_j - delta_1 - t)) = r_1^2
+        (Golub, SIAM Rev. 15, 1973), whose left side is increasing and convex
+        up to the next pole: Newton falls onto t from the fixed-point step at
+        0, right of it.  Anything else takes the SVD of the dense matrix.
+        """
+        rows, diag = self.rows, np.abs(self.diagonal)
+        span = slice(self.offset[1], self.offset[1] + len(diag))
+        if not rows[:, span].any():  # no diagonal, or rows beside it
+            rest = np.delete(rows, span, axis=1)
+            if min(rest.shape) + len(diag) < min(self.n_rows, self.n_cols):
+                return 0.0
+            smin = np.linalg.svd(rest, compute_uv=False).min(initial=math.inf)
+            return float(min(smin, diag.min(initial=math.inf)))
+        if len(rows) == 1 and self.n_rows >= self.n_cols:
+            delta = np.zeros(self.n_cols)
+            delta[span] = diag**2
+            order = np.argsort(delta)
+            delta, weights = delta[order], rows[0, order] ** 2
+            if np.all(weights > 0.0) and np.all(np.diff(delta) > 0.0):
+                poles, weights, first = delta[1:] - delta[0], weights[1:], weights[0]
+                t, pole = first / (1.0 + np.sum(weights / poles)), poles.min(initial=math.inf)
+                while t < pole:  # a NaN or a start past the pole falls back to the SVD
+                    terms = weights / (poles - t)
+                    s = 1.0 + terms.sum()
+                    step = (t * s - first) / (s + t * np.sum(terms / (poles - t)))
+                    if step <= 0.0:
+                        return math.sqrt(delta[0] + t)
+                    t -= step
+        return float(np.linalg.svd(self.entries, compute_uv=False)[-1])
 
 
 # The declared structure of the base operators, shared with the catalog.
@@ -228,11 +327,12 @@ def embedding(p: float, q: float, n: int) -> TruncatedOperator:
     if n < 1:
         raise ValueError("n must be >= 1")
     return TruncatedOperator(
-        np.eye(n),
+        np.empty((0, n)),
         SpaceTag.ell(p, n),
         SpaceTag.ell(q, n),
         EMBEDDING_ATTRIBUTES,
         f"embed({p:g},{q:g})",
+        diagonal=np.ones(n),
         _fresh=True,
     )
 
@@ -243,25 +343,23 @@ def diagonal(sigma, n: int, domain_exponent: float = 2.0) -> TruncatedOperator:
     The full weight sequence is declared to tend to zero, which makes the
     infinite operator compact with non-closed range.
     """
-    # allocate first: a size too large for memory fails before any weight
-    entries = np.zeros((n, n))
-    if callable(sigma):
-        weights = np.array([float(sigma(k)) for k in range(1, n + 1)])
+    if callable(sigma):  # fromiter allocates first: a size too large fails before any weight
+        weights = np.fromiter(map(sigma, range(1, n + 1)), float, n)
     else:
-        weights = np.asarray(sigma, dtype=float)[:n]
+        weights = np.asarray(sigma, dtype=float)[:n].copy()
     if len(weights) != n:
         raise ValueError(f"need {n} weights, got {len(weights)}")
     if np.any(weights <= 0.0):
         raise ValueError("diagonal weights must be positive")
     if np.any(np.diff(weights) > 0.0):
         raise ValueError("diagonal weights must be nonincreasing")
-    np.fill_diagonal(entries, weights)
     return TruncatedOperator(
-        entries,
+        np.empty((0, n)),
         SpaceTag.ell(domain_exponent, n),
         SpaceTag.ell(2.0, n),
         DIAGONAL_ATTRIBUTES,
         "diag",
+        diagonal=weights,
         _fresh=True,
     )
 
@@ -282,11 +380,16 @@ def identity(n: int, exponent: float = 2.0) -> TruncatedOperator:
         weakstar_to_weak_continuous=(exponent > 1.0),
     )
     tag = SpaceTag.ell(exponent, n)
-    return TruncatedOperator(np.eye(n), tag, tag, attrs, "identity", _fresh=True)
+    rows, weights = np.empty((0, n)), np.ones(n)
+    return TruncatedOperator(rows, tag, tag, attrs, "identity", diagonal=weights, _fresh=True)
 
 
 def _is_nonzero(op: TruncatedOperator) -> bool:
-    return bool(np.any(op.entries != 0.0))
+    return bool(op.rows.any() or op.diagonal.any())
+
+
+def _is_diagonal(op: TruncatedOperator) -> bool:  # a square diagonal, no rows
+    return not len(op.rows) and len(op.diagonal) == op.n_rows == op.n_cols
 
 
 def compose(outer: TruncatedOperator, inner: TruncatedOperator) -> TruncatedOperator:
@@ -354,12 +457,19 @@ def compose(outer: TruncatedOperator, inner: TruncatedOperator) -> TruncatedOper
         surjective=surjective,
         weakstar_to_weak_continuous=ws2w,
     ).normalized()
+    if _is_diagonal(outer):  # each row of inner scaled by its weight
+        weights, (r0, _), length = outer.diagonal, inner.offset, len(inner.diagonal)
+        rows = weights[: len(inner.rows), None] * inner.rows
+        pieces = {"diagonal": weights[r0 : r0 + length] * inner.diagonal, "offset": inner.offset}
+    else:
+        rows, pieces = outer.entries @ inner.entries, {}
     return TruncatedOperator(
-        outer.entries @ inner.entries,
+        rows,
         inner.domain_tag,
         outer.codomain_tag,
         attrs,
         f"{outer.label}@{inner.label}",
+        **pieces,
         _fresh=True,
     )
 
@@ -378,9 +488,17 @@ def block_product(first: TruncatedOperator, second: TruncatedOperator) -> Trunca
     a, b = first.attributes, second.attributes
     n1, m1 = first.n_rows, first.n_cols
     n2, m2 = second.n_rows, second.n_cols
-    entries = np.zeros((n1 + n2, m1 + m2))
-    entries[:n1, :m1] = first.entries
-    entries[n1:, m1:] = second.entries
+    # a square diagonal beside first continues first's diagonal, or starts one
+    # at (n1, m1), when first's diagonal is empty or ends at that corner
+    r0, c0 = first.offset if len(first.diagonal) else (n1, m1)
+    if _is_diagonal(second) and r0 + len(first.diagonal) == n1 and c0 + len(first.diagonal) == m1:
+        rows = np.zeros((len(first.rows), m1 + m2))
+        rows[:, :m1] = first.rows
+        pieces = {"diagonal": np.concatenate((first.diagonal, second.diagonal)), "offset": (r0, c0)}
+    else:
+        rows, pieces = np.zeros((n1 + n2, m1 + m2)), {}
+        rows[:n1, :m1] = first.entries
+        rows[n1:, m1:] = second.entries
 
     # A closed infinite-dimensional subspace of either block's range embeds as
     # a closed subspace of the product range; the converse does not reduce to
@@ -409,11 +527,12 @@ def block_product(first: TruncatedOperator, second: TruncatedOperator) -> Trunca
         weakstar_to_weak_continuous=ws2w,
     ).normalized()
     return TruncatedOperator(
-        entries,
+        rows,
         SpaceTag.product(first.domain_tag, second.domain_tag),
         SpaceTag.product(first.codomain_tag, second.codomain_tag),
         attrs,
         f"({first.label},{second.label})",
+        **pieces,
         _fresh=True,
     )
 
@@ -428,15 +547,14 @@ def injective_counterexample(n: int) -> TruncatedOperator:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    entries = np.zeros((n, n))
-    entries[0, :] = 1.0
-    np.fill_diagonal(entries[1:, 1:], 1.0 / np.arange(2, n + 1))
     return TruncatedOperator(
-        entries,
+        np.ones((1, n)),
         SpaceTag.ell(1.0, n),
         SpaceTag.ell(2.0, n),
         INJECTIVE_COUNTEREXAMPLE_ATTRIBUTES,
         "sum_decay",
+        diagonal=1.0 / np.arange(2, n + 1),
+        offset=(1, 1),
         _fresh=True,
     )
 

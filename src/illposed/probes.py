@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import TruncatedOperator, compose
+from .operators import TruncatedOperator, _is_nonzero, compose
 from .reports import _BLOCK, _QUADS, float_cells
 
 __all__ = [
@@ -122,7 +122,7 @@ def weak_star_probe(
     if not np.any(eta):
         raise ValueError("eta must be a nonzero functional")
     with np.errstate(over="ignore", invalid="ignore"):
-        pairings = (op.entries.T @ eta)[:n_terms]
+        pairings = op.adjoint(eta)[:n_terms]
     if not np.all(np.isfinite(pairings)):
         raise ValueError("pairings overflow: eta is too large for this operator")
     return ProbeReport(op.label, eta, pairings, threshold)
@@ -141,12 +141,12 @@ def composition_probe(
     truncation scale.  For an identity outer factor this reduces to probing
     the direction operator itself with its first direction.
     """
-    if not np.any(outer.entries != 0.0):
+    if not _is_nonzero(outer):
         raise ValueError("outer operator is identically zero")
     op = compose(outer, direction_op)
-    norms = np.linalg.norm(op.entries[:, :n_terms], axis=0)
+    norms = op.column_norms()[:n_terms]
     best = int(np.argmax(norms))
-    eta = op.entries[:, best] / norms[best]
+    eta = op.column(best) / norms[best]
     return weak_star_probe(op, eta, n_terms, threshold)
 
 
@@ -158,11 +158,12 @@ def pseudoinverse_growth(
     An inverse bounded uniformly in the truncation size signals a closed
     range; growth of 1/sigma_min without bound is the finite shadow of an
     unbounded pseudoinverse.  A numerically singular truncation reports
-    infinite growth.
+    infinite growth.  sigma_min comes from the operator's pieces
+    (``TruncatedOperator.smallest_singular_value``).
     """
     out: list[tuple[int, float, float]] = []
     for op in family:
-        smin = float(np.linalg.svd(op.entries, compute_uv=False)[-1])
+        smin = op.smallest_singular_value()
         growth = float("inf") if smin <= 0.0 else 1.0 / smin
         out.append((op.n_cols, smin, growth))
     return out

@@ -121,11 +121,11 @@ def soft_threshold(v: float, t: float) -> float:
 
 
 def objective(problem: TikhonovProblem, x: np.ndarray) -> float:
-    a = problem.operator.entries
+    op = problem.operator
     x = np.asarray(x, dtype=float)
-    if x.shape != (a.shape[1],):
-        raise ValueError(f"x must have length {a.shape[1]}, got {x.shape}")
-    misfit = a @ x
+    if x.shape != (op.n_cols,):
+        raise ValueError(f"x must have length {op.n_cols}, got {x.shape}")
+    misfit = op.apply(x)
     misfit -= problem.y
     return 0.5 * float(misfit @ misfit) + problem.alpha * float(np.abs(x).sum())
 
@@ -165,13 +165,13 @@ def optimality_residual(problem: TikhonovProblem, x: np.ndarray) -> float:
 
     Zero residual certifies a global minimizer of the convex functional.
     """
-    a = problem.operator.entries
+    op = problem.operator
     x = np.asarray(x, dtype=float)
-    if x.shape != (a.shape[1],):
-        raise ValueError(f"x must have length {a.shape[1]}, got {x.shape}")
-    misfit = a @ x
+    if x.shape != (op.n_cols,):
+        raise ValueError(f"x must have length {op.n_cols}, got {x.shape}")
+    misfit = op.apply(x)
     np.subtract(problem.y, misfit, out=misfit)
-    return _kkt_residual(a.T @ misfit, x, problem.alpha)
+    return _kkt_residual(op.adjoint(misfit), x, problem.alpha)
 
 
 def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -225,20 +225,20 @@ def solve(
         raise ValueError("tol must be a positive finite number")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    a = problem.operator.entries
+    op = problem.operator
     y = problem.y
     alpha = problem.alpha
-    cap = min(a.shape)
+    cap = min(op.n_rows, op.n_cols)
     q, r = np.empty((len(y), cap)), np.empty((cap, cap))  # N = q[:, :m] r[:m, :m]
     u, signs, w = np.empty((3, cap))
     active: list[int] = []
     m = kept = 0  # w[:kept] solves r[:kept, :kept]^T w = alpha; dropping i keeps w[:i]
-    x = np.zeros(a.shape[1])
+    x = np.zeros(op.n_cols)
     misfit = y  # y - Ax at x = 0
     steps = 0
     converged = False
     while True:
-        corr = a.T @ misfit
+        corr = op.adjoint(misfit)
         j = _peak(corr)
         residual = _kkt_residual(corr, x, alpha, j)
         if residual <= tol:
@@ -248,7 +248,7 @@ def solve(
         if steps >= max_iter or violation <= 0.0 or j in active:
             break  # budget spent, or rounding sets the residual's floor
         sign = math.copysign(1.0, corr.item(j))
-        normal = sign * a[:, j]
+        normal = sign * op.column(j)
         while True:
             d = q[:, :m].T @ normal
             z = normal - q[:, :m] @ d if m else normal  # the part no active normal spans
@@ -283,7 +283,7 @@ def solve(
         x[:] = 0.0
         x[active] = signs[:m] * u[:m]
         steps += 1
-        misfit = y - a @ x
+        misfit = y - op.apply(x)
     support = tuple(int(j) + 1 for j in (x != 0.0).nonzero()[0] if abs(x[j]) > SUPPORT_EPS)
     return MinimizerCertificate(
         x=x,
@@ -505,7 +505,7 @@ def convergence_experiment(
         raise ValueError("deltas, alpha_factor and their products must be positive finite numbers")
     u = np.random.default_rng(seed).standard_normal(op.n_rows)
     u = u / np.linalg.norm(u)
-    y_exact = op.entries @ x_true
+    y_exact = op.apply(x_true)
     rows: list[ConvergenceRow] = []
     for delta, alpha in zip(delta_schedule, alphas):
         data = y_exact + delta * u

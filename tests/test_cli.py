@@ -352,8 +352,8 @@ def test_data_whose_objective_overflows_exits_2(tmp_path, capsys, argv, fmt):
 
 
 def test_allocation_failure_exits_2(tmp_path, capsys):
-    # np.eye(10^8) asks for 71 PiB, so the allocation fails at once
-    code, text = run(tmp_path, "growth", "--operator", "E2p", "--sizes", "100000000")
+    # the unit diagonal of 10^18 float64 values asks for 6.94 EiB, so the allocation fails at once
+    code, text = run(tmp_path, "growth", "--operator", "E2p", "--sizes", "1000000000000000000")
     assert code == 2
     assert text == ""
     err = capsys.readouterr().err
@@ -369,8 +369,8 @@ def test_enumeration_bounds_too_large_to_allocate_exit_2(tmp_path, capsys, suppo
 
 
 def test_diag_too_large_to_allocate_exits_2_before_its_weights(tmp_path, capsys):
-    # diag allocates its 71 PiB matrix before it evaluates 10^8 weights
-    code, text = run(tmp_path, "growth", "--operator", "diag", "--sizes", "100000000")
+    # diag allocates its 6.94 EiB of weights before it evaluates the first of 10^18
+    code, text = run(tmp_path, "growth", "--operator", "diag", "--sizes", "1000000000000000000")
     assert code == 2
     assert text == ""
     err = capsys.readouterr().err

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from illposed.classify import harmonic
+from illposed.classify import OPERATORS, build_operator, harmonic
 from illposed.directions import EnumerationParams, enumerate_directions
 from illposed.operators import (
     OperatorAttributes,
@@ -142,9 +142,9 @@ def test_diagonal_too_large_to_allocate_fails_before_any_weight():
     def sigma(k):
         raise AssertionError(f"weight {k} evaluated before the allocation")
 
-    # 10^8 x 10^8 float64 is 71 PiB, so the allocation fails at once
+    # 10^18 float64 weights are 6.94 EiB, so the allocation fails at once
     with pytest.raises(MemoryError):
-        diagonal(sigma, 10**8)
+        diagonal(sigma, 10**18)
 
 
 def test_identity_flags_depend_on_exponent():
@@ -330,15 +330,22 @@ def test_truncated_operator_validation():
 
 
 def test_builders_freeze_their_matrix_without_copying_it():
-    # a build holds its matrix and the finiteness mask at once, not two matrices
+    # a diagonal build holds its weights, never a dense matrix; the matrix,
+    # built on request, is allocated once and kept read-only
+    n = 3000
     tracemalloc.start()
     try:
-        op = diagonal(harmonic, 3000)
+        op = diagonal(harmonic, n)
+        _, built = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        entries = op.entries
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.2 * op.entries.nbytes
-    assert not op.entries.flags.writeable
+    assert built <= 100 * n * 8
+    assert peak <= 1.2 * entries.nbytes
+    assert op.entries is entries
+    assert not entries.flags.writeable and not op.diagonal.flags.writeable
 
 
 def test_direct_construction_copies_and_freezes():
@@ -350,3 +357,73 @@ def test_direct_construction_copies_and_freezes():
     assert op.entries[0, 0] == 1.0
     assert not op.entries.flags.writeable
     assert entries.flags.writeable
+
+
+def _structure(op) -> str:
+    if not len(op.rows):
+        return "diagonal"
+    return "rows" if not len(op.diagonal) else "rows over a diagonal"
+
+
+@pytest.mark.parametrize("n", [5, 40])
+@pytest.mark.parametrize("name", list(OPERATORS))
+def test_structured_products_match_the_dense_matrix(master_directions, name, n):
+    op = build_operator(name, n, lambda: master_directions)
+    # no builder materializes a dense matrix: it is the rows block or not built
+    assert vars(op).get("entries", op.rows) is op.rows
+    expected = {"B": "rows", "EoB": "rows", "CoB": "rows", "BxI": "rows over a diagonal",
+                "inj": "rows over a diagonal"}.get(name, "diagonal")
+    assert _structure(op) == expected
+    entries = op.entries
+    rng = np.random.default_rng([n, len(name)])
+    x, eta = rng.standard_normal(op.n_cols), rng.standard_normal(op.n_rows)
+    got, want = [op.apply(x), op.adjoint(eta)], [entries @ x, entries.T @ eta]
+    if expected == "rows over a diagonal":
+        # the dense product may sum a row or column in another order: within
+        # 4 ulp of its 1-norm, the sum of the magnitudes of its terms
+        norms = [np.abs(entries) @ np.abs(x), np.abs(entries).T @ np.abs(eta)]
+        for g, w, norm in zip(got, want, norms):
+            assert np.all(np.abs(g - w) <= 4 * np.spacing(norm))
+    else:
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+    for j in range(op.n_cols):
+        assert op.column(j).tobytes() == entries[:, j].tobytes()
+
+
+def test_structured_pieces_of_the_builders():
+    inj = injective_counterexample(6)
+    np.testing.assert_array_equal(inj.rows, np.ones((1, 6)))
+    np.testing.assert_array_equal(inj.diagonal, 1.0 / np.arange(2, 7))
+    assert inj.offset == (1, 1)
+    scaled = compose(diagonal(harmonic, 3), mazur(enumerate_directions(EnumerationParams(3, 2)), 9, 3))
+    assert not len(scaled.diagonal) and scaled.rows.shape == (3, 9)
+    pair = block_product(diagonal(harmonic, 2), identity(3))
+    assert not len(pair.rows) and pair.offset == (0, 0)
+    np.testing.assert_array_equal(pair.diagonal, [1.0, 0.5, 1.0, 1.0, 1.0])
+    beside = block_product(inj, identity(2))  # continues inj's diagonal at its corner
+    assert beside.offset == (1, 1) and len(beside.diagonal) == 7 and beside.rows.shape == (1, 8)
+    dense = block_product(identity(2), inj)  # rows below a diagonal: one dense block
+    assert not len(dense.diagonal) and dense.rows.shape == (8, 8)
+    np.testing.assert_array_equal(dense.entries[2:, 2:], inj.entries)
+
+
+def test_structured_construction_validates_the_pieces():
+    tags = SpaceTag.ell(2.0, 4), SpaceTag.ell(2.0, 4)
+    attrs = OperatorAttributes()
+    for rows, diag, offset in [
+        (np.ones((2, 4)), np.ones(3), (1, 0)),  # the diagonal overlaps the rows
+        (np.ones((1, 4)), np.ones(4), (1, 0)),  # past the last row
+        (np.ones((1, 4)), np.ones(3), (1, 2)),  # past the last column
+        (np.ones((5, 4)), np.ones(0), (0, 0)),  # more rows than the codomain
+    ]:
+        with pytest.raises(ValueError, match="do not fit tags"):
+            TruncatedOperator(rows, *tags, attrs, "bad", diagonal=diag, offset=offset)
+    with pytest.raises(ValueError, match="finite"):
+        TruncatedOperator(np.ones((1, 4)), *tags, attrs, "bad", diagonal=[1.0, np.nan], offset=(1, 1))
+    weights = np.ones(3)
+    op = TruncatedOperator(np.ones((1, 4)), *tags, attrs, "ok", diagonal=weights, offset=(1, 1))
+    weights[0] = 5.0  # copied
+    np.testing.assert_array_equal(op.entries, [[1, 1, 1, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    short = TruncatedOperator(np.ones((1, 4)), *tags, attrs, "short")  # rows 2-4 are zero
+    np.testing.assert_array_equal(short.apply(np.arange(4.0)), [6.0, 0.0, 0.0, 0.0])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from illposed.classify import build_operator, harmonic
 from illposed.directions import EnumerationParams, enumerate_directions
 from illposed.operators import (
     OperatorAttributes,
@@ -23,6 +24,13 @@ from illposed.probes import (
     weak_star_probe,
 )
 from illposed.reports import _BLOCK
+from illposed.tikhonov import (
+    TikhonovProblem,
+    convergence_experiment,
+    objective,
+    optimality_residual,
+    solve,
+)
 
 
 def test_diagonal_probe_decays():
@@ -157,6 +165,90 @@ def test_pseudoinverse_growth_counterexample_diverges():
     family = [injective_counterexample(n) for n in (8, 64)]
     for n, _, growth in pseudoinverse_growth(family):
         assert growth >= n
+
+
+@pytest.mark.parametrize("n", [8, 64, 256, 1024])
+@pytest.mark.parametrize("name", ["diag", "identity", "E2p", "D1", "D2", "D2oD1", "inj", "BxI"])
+def test_structured_growth_matches_the_dense_svd(master_directions, name, n):
+    op = build_operator(name, n, lambda: master_directions)
+    (_, smin, growth), = pseudoinverse_growth([op])
+    assert "entries" not in vars(op)  # a closed form, not the dense SVD
+    assert smin == pytest.approx(np.linalg.svd(op.entries, compute_uv=False)[-1], rel=1e-12)
+    assert growth == 1.0 / smin
+
+
+@pytest.mark.parametrize("n", [1, 8, 64, 512, 10**6])
+def test_diagonal_growth_is_exactly_one_over_n(n):
+    (size, smin, growth), = pseudoinverse_growth([diagonal(harmonic, n)])
+    assert (size, smin, growth) == (n, 1.0 / n, 1.0 / (1.0 / n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    weights=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=24),
+    row=st.none() | st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=25, max_size=25),
+    row_only_column=st.booleans(),
+)
+def test_growth_over_random_positive_diagonals_with_and_without_a_dense_row(
+    weights, row, row_only_column
+):
+    # without a row, the diagonal alone; with one, the row on top and the
+    # diagonal below it, after a first column that only the row covers or not
+    n, attrs = len(weights), OperatorAttributes()
+    if row is None:
+        op = TruncatedOperator(np.empty((0, n)), SpaceTag.ell(2.0, n), SpaceTag.ell(2.0, n),
+                               attrs, "d", diagonal=weights)
+    else:
+        cols = n + row_only_column
+        op = TruncatedOperator(np.array([row[:cols]]), SpaceTag.ell(2.0, cols),
+                               SpaceTag.ell(2.0, n + 1), attrs, "r", diagonal=weights,
+                               offset=(1, int(row_only_column)))
+    (_, smin, _), = pseudoinverse_growth([op])
+    values = np.linalg.svd(op.entries, compute_uv=False)
+    assert abs(smin - values[-1]) <= 1e-12 * values[0]
+    if row is None:
+        assert smin == min(weights)
+
+
+def test_pseudoinverse_growth_counts_uncovered_rows_and_columns():
+    attrs = OperatorAttributes()
+    cases = [  # (rows, diagonal, offset, n_rows, n_cols)
+        (np.empty((0, 3)), [2.0, 1.0], (0, 0), 3, 3),  # a zero row and column
+        (np.ones((1, 3)), [], (0, 0), 2, 3),  # a zero row below the rows
+        (np.array([[1.0, 2.0, 0.0]]), [0.5], (1, 2), 3, 3),  # rows beside the diagonal
+        (np.array([[1.0, 0.0, 0.0]]), [0.5], (1, 2), 3, 3),  # ... with a zero column
+        (np.array([[1.0, 1.0, 1.0]]), [0.5, 0.5], (1, 1), 3, 3),  # repeated weights
+    ]
+    for rows, diag, offset, n_rows, n_cols in cases:
+        op = TruncatedOperator(rows, SpaceTag.ell(2.0, n_cols), SpaceTag.ell(2.0, n_rows),
+                               attrs, "case", diagonal=diag, offset=offset)
+        (_, smin, _), = pseudoinverse_growth([op])
+        expected = np.linalg.svd(op.entries, compute_uv=False)[-1]
+        assert smin == pytest.approx(expected, rel=1e-12, abs=1e-15), (rows, diag, offset)
+
+
+def test_probes_solves_and_growth_never_build_the_dense_matrix():
+    op = injective_counterexample(300)
+    eta = np.zeros(300)
+    eta[0] = 1.0
+    weak_star_probe(op, eta, 300)
+    composition_probe(identity(300), op, 300)
+    pseudoinverse_growth([op])
+    problem = TikhonovProblem(op, eta + 0.01, 0.01)
+    x = solve(problem).x
+    objective(problem, x), optimality_residual(problem, x)
+    convergence_experiment(op, eta, [1e-2])
+    assert "entries" not in vars(op)
+
+
+def test_composition_probe_on_a_row_over_a_diagonal_matches_the_dense_matrix():
+    op = injective_counterexample(40)
+    report = composition_probe(diagonal(harmonic, 40), op, 30)
+    dense = np.diag(1.0 / np.arange(1, 41)) @ op.entries
+    norms = np.linalg.norm(dense[:, :30], axis=0)
+    best = int(np.argmax(norms))
+    np.testing.assert_allclose(report.eta, dense[:, best] / norms[best], rtol=1e-15)
+    np.testing.assert_allclose(report.pairings, (dense.T @ report.eta)[:30], rtol=1e-14)
 
 
 def test_pseudoinverse_growth_singular_marker():

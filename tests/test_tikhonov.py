@@ -255,8 +255,9 @@ def test_step_budget_is_reported_not_raised():
 
 # The solver as it was before its factors moved into preallocated buffers,
 # kept as the reference for the differential tests below.  The body of
-# reference_solve is verbatim; only the names of its three helpers carry the
-# reference_ prefix.
+# reference_solve is verbatim but for its three products, which it takes from
+# the operator's apply, adjoint and column as solve does; only the names of
+# its three helpers carry the reference_ prefix.
 
 
 def reference_back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -292,7 +293,7 @@ def reference_solve(
         raise ValueError("tol must be a positive finite number")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    a = problem.operator.entries
+    op = problem.operator
     y = problem.y
     alpha = problem.alpha
     x = np.zeros(problem.operator.n_cols)
@@ -302,8 +303,8 @@ def reference_solve(
     steps = 0
     converged = False
     while True:
-        misfit = y - a @ x
-        corr = a.T @ misfit
+        misfit = y - op.apply(x)
+        corr = op.adjoint(misfit)
         residual = _kkt_residual(corr, x, alpha)
         if residual <= tol:
             converged = True
@@ -313,7 +314,7 @@ def reference_solve(
         if steps >= max_iter or violation <= 0.0 or j in active:
             break  # budget spent, or rounding sets the residual's floor
         sign = math.copysign(1.0, corr[j])
-        normal = sign * a[:, j]
+        normal = sign * op.column(j)
         while True:
             d = q.T @ normal
             z = normal - q @ d  # the part of the normal no active one spans
@@ -462,6 +463,17 @@ def test_wide_solves_keep_the_reference_bytes(name, n, delta):
     assert got.iterations == want.iterations and got.support == want.support
     assert _bytes(got.x) == _bytes(want.x)
     assert _bytes([got.objective, got.residual]) == _bytes([want.objective, want.residual])
+    # products from the dense matrix take the same steps to the same bytes of
+    # x and the same verdict; inj's summing row may round its sum differently,
+    # which moves the objective within 1e-12 and the residual by rounding
+    # divided by alpha, while diag keeps every byte
+    plain = TruncatedOperator(op.entries, op.domain_tag, op.codomain_tag, op.attributes, "plain")
+    dense = solve(TikhonovProblem(plain, problem.y, delta))
+    assert dense.iterations == got.iterations and _bytes(dense.x) == _bytes(got.x)
+    assert dense.converged == got.converged
+    assert dense.objective == pytest.approx(got.objective, rel=1e-12, abs=0.0)
+    if name == "diag":
+        assert _bytes([dense.objective, dense.residual]) == _bytes([got.objective, got.residual])
 
 
 @pytest.mark.parametrize("spare", [0, 2])
