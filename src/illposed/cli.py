@@ -189,7 +189,7 @@ def cmd_enumerate(args) -> int:
 def _theorem_case(directions, op, k, lam, alpha, tol, gammas):
     prefix = directions[: op.n_cols]
     problem = TikhonovProblem(op, lam * directions.realized[k - 1, : op.n_rows], alpha)
-    cert = solve(problem, tol=tol, max_iter=50000)
+    cert = solve(problem, tol=tol)
     deviation = minimizer_family_distance(cert.x, prefix, k, lam, alpha)
     gamma_spread = gamma_max_residual = 0.0
     base = soft_threshold(lam, alpha)

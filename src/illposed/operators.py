@@ -2,7 +2,7 @@
 
 Matrices here stand in for bounded operators between l^p spaces (and finite
 products of them).  The numeric content is a dense block of rows over a
-diagonal, either possibly empty, and products are taken from these pieces;
+corner diagonal, either possibly empty, and products come from these pieces;
 the structural content is a set of tri-state flags describing the underlying
 infinite-dimensional operator.  Flags are declared metadata: combinators
 propagate them only along implications that are mathematically sound, and
@@ -110,9 +110,10 @@ def _tri_and(*flags: bool | None) -> bool | None:
 class TruncatedOperator:
     """Matrix truncation of a bounded operator, plus declared structure.
 
-    The matrix is ``rows``, a dense k x n_cols block at the top (k may be 0),
-    and ``diagonal``, value i at (r0 + i, c0 + i) for ``offset`` (r0, c0)
-    with r0 >= k; every other entry is zero.  ``mazur_truncation`` records
+    The matrix is ``rows``, a dense k x n_cols block (k may be 0), over
+    ``diagonal``, whose L values fill the last L rows and columns: value i at
+    (k + i, n_cols - L + i), with k + L = n_rows and L <= n_cols; every other
+    entry is zero.  ``mazur_truncation`` records
     that the columns realize a dense unit-sphere direction sequence; a few
     propagation rules are only valid for such operators.  The pieces are
     read-only: arrays passed in are copied, while the builders here pass
@@ -126,22 +127,18 @@ class TruncatedOperator:
     label: str
     mazur_truncation: bool = False
     diagonal: np.ndarray = field(default_factory=lambda: np.empty(0))
-    offset: tuple[int, int] = (0, 0)
     _fresh: InitVar[bool] = False  # builders here pass new arrays or a read-only view: no copy
 
     def __post_init__(self, _fresh: bool) -> None:
         rows = np.asarray(self.rows, dtype=float)
         diag = np.asarray(self.diagonal, dtype=float)
-        (r0, c0), length = self.offset, len(diag)
         if rows.ndim != 2 or diag.ndim != 1 or self.n_rows < 1 or self.n_cols < 1:
             raise ValueError("rows must be 2-d, of a nonempty 2-d matrix")
         if not (np.isfinite(rows).all() and np.isfinite(diag).all()):
             raise ValueError("entries must be finite")
-        if rows.shape[1] != self.n_cols or len(rows) > self.n_rows or length and not (
-            len(rows) <= r0 and r0 + length <= self.n_rows and 0 <= c0 <= self.n_cols - length
-        ):
+        if rows.shape != (self.n_rows - len(diag), self.n_cols) or len(diag) > self.n_cols:
             raise ValueError(
-                f"rows of shape {rows.shape} and {length} diagonal values at {self.offset} "
+                f"rows of shape {rows.shape} over {len(diag)} diagonal values "
                 f"do not fit tags ({self.n_rows}, {self.n_cols})"
             )
         if not _fresh:
@@ -149,7 +146,7 @@ class TruncatedOperator:
         rows.flags.writeable = diag.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "diagonal", diag)
-        if len(rows) == self.n_rows:  # the rows block is the whole matrix
+        if not len(diag):  # the rows block is the whole matrix
             object.__setattr__(self, "entries", rows)
 
     @property
@@ -162,75 +159,67 @@ class TruncatedOperator:
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
-        """The dense matrix, read-only: the rows block when it fills the matrix,
-        else built on first request and kept."""
+        """The dense matrix, read-only: the rows block when there is no
+        diagonal, else built on first request and kept."""
         entries = np.zeros((self.n_rows, self.n_cols))
         entries[: len(self.rows)] = self.rows
-        (r0, c0), length = self.offset, len(self.diagonal)
-        np.fill_diagonal(entries[r0 : r0 + length, c0 : c0 + length], self.diagonal)
+        np.fill_diagonal(entries[len(self.rows) :, -len(self.diagonal) :], self.diagonal)
         entries.flags.writeable = False
         return entries
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A x, a new array; a rows block that fills the matrix is one product."""
-        if len(self.rows) == self.n_rows:
+        """A x, a new array; an operator without a diagonal is one product."""
+        if not len(self.diagonal):
             return self.rows @ x
-        out = np.zeros(self.n_rows)
-        out[: len(self.rows)] = self.rows @ x
-        (r0, c0), length = self.offset, len(self.diagonal)
-        out[r0 : r0 + length] = self.diagonal * x[c0 : c0 + length]
-        return out
+        return np.concatenate((self.rows @ x, self.diagonal * x[-len(self.diagonal) :]))
 
     def adjoint(self, eta: np.ndarray) -> np.ndarray:
-        """A^T eta, a new array; a rows block that fills the matrix is one product."""
-        if len(self.rows) == self.n_rows:
+        """A^T eta, a new array; an operator without a diagonal is one product."""
+        if not len(self.diagonal):
             return self.rows.T @ eta
-        out = self.rows.T @ eta[: len(self.rows)]
-        (r0, c0), length = self.offset, len(self.diagonal)
-        out[c0 : c0 + length] += self.diagonal * eta[r0 : r0 + length]
+        k = len(self.rows)
+        out = self.rows.T @ eta[:k]
+        out[-len(self.diagonal) :] += self.diagonal * eta[k:]
         return out
 
     def column(self, j: int) -> np.ndarray:
-        """A e^(j+1), the column at 0-based index j; a view of rows that fill the matrix."""
-        if len(self.rows) == self.n_rows:
+        """A e^(j+1), the column at 0-based index j; a view of the rows if no diagonal."""
+        if not len(self.diagonal):
             return self.rows[:, j]
         out = np.zeros(self.n_rows)
         out[: len(self.rows)] = self.rows[:, j]
-        r0, c0 = self.offset
-        if 0 <= j - c0 < len(self.diagonal):
-            out[r0 + j - c0] = self.diagonal[j - c0]
+        i = j - self.n_cols  # in the corner, one index from the end for out and diagonal
+        if i >= -len(self.diagonal):
+            out[i] = self.diagonal[i]
         return out
 
     def column_norms(self) -> np.ndarray:
         """The l^2 norm of every column, a new array."""
         norms = np.linalg.norm(self.rows, axis=0)
-        covered = norms[self.offset[1] : self.offset[1] + len(self.diagonal)]
+        covered = norms[self.n_cols - len(self.diagonal) :]
         np.hypot(covered, self.diagonal, out=covered)
         return norms
 
     def smallest_singular_value(self) -> float:
         """sigma_min from the pieces, counting as the SVD of the dense matrix does.
 
-        Uncovered rows and columns add zeros; rows beside the diagonal pool
-        their SVD with its magnitudes.  One row r over a diagonal, no wider
-        than tall, has A^T A = diag(delta) + r r^T: for distinct delta and
-        nonzero r its least eigenvalue is delta_1 + t, t the least root of the
-        secular equation t (1 + sum_j r_j^2 / (delta_j - delta_1 - t)) = r_1^2
-        (Golub, SIAM Rev. 15, 1973), whose left side is increasing and convex
-        up to the next pole: Newton falls onto t from the fixed-point step at
-        0, right of it.  Anything else takes the SVD of the dense matrix.
+        Rows that are zero in the diagonal's columns sit beside it: the SVD of
+        their other columns pools with its magnitudes.  One row r over a
+        diagonal, no wider than tall, has A^T A = diag(delta) + r r^T: for
+        distinct delta and nonzero r its least eigenvalue is delta_1 + t, t the
+        least root of the secular equation t (1 + sum_j r_j^2 / (delta_j -
+        delta_1 - t)) = r_1^2 (Golub, SIAM Rev. 15, 1973), whose left side is
+        increasing and convex up to the next pole: Newton falls onto t from
+        the fixed-point step at 0, right of it, until a step no longer moves t.
+        Anything else takes the SVD of the dense matrix.
         """
-        rows, diag = self.rows, np.abs(self.diagonal)
-        span = slice(self.offset[1], self.offset[1] + len(diag))
-        if not rows[:, span].any():  # no diagonal, or rows beside it
-            rest = np.delete(rows, span, axis=1)
-            if min(rest.shape) + len(diag) < min(self.n_rows, self.n_cols):
-                return 0.0
-            smin = np.linalg.svd(rest, compute_uv=False).min(initial=math.inf)
+        rows, diag, corner = self.rows, np.abs(self.diagonal), self.n_cols - len(self.diagonal)
+        if not rows[:, corner:].any():  # no diagonal, or rows beside it
+            smin = np.linalg.svd(rows[:, :corner], compute_uv=False).min(initial=math.inf)
             return float(min(smin, diag.min(initial=math.inf)))
         if len(rows) == 1 and self.n_rows >= self.n_cols:
             delta = np.zeros(self.n_cols)
-            delta[span] = diag**2
+            delta[corner:] = diag**2
             order = np.argsort(delta)
             delta, weights = delta[order], rows[0, order] ** 2
             if np.all(weights > 0.0) and np.all(np.diff(delta) > 0.0):
@@ -240,7 +229,7 @@ class TruncatedOperator:
                     terms = weights / (poles - t)
                     s = 1.0 + terms.sum()
                     step = (t * s - first) / (s + t * np.sum(terms / (poles - t)))
-                    if step <= 0.0:
+                    if step <= 0.0 or t - step == t:
                         return math.sqrt(delta[0] + t)
                     t -= step
         return float(np.linalg.svd(self.entries, compute_uv=False)[-1])
@@ -389,7 +378,7 @@ def _is_nonzero(op: TruncatedOperator) -> bool:
 
 
 def _is_diagonal(op: TruncatedOperator) -> bool:  # a square diagonal, no rows
-    return not len(op.rows) and len(op.diagonal) == op.n_rows == op.n_cols
+    return not len(op.rows) and op.n_rows == op.n_cols
 
 
 def compose(outer: TruncatedOperator, inner: TruncatedOperator) -> TruncatedOperator:
@@ -458,18 +447,17 @@ def compose(outer: TruncatedOperator, inner: TruncatedOperator) -> TruncatedOper
         weakstar_to_weak_continuous=ws2w,
     ).normalized()
     if _is_diagonal(outer):  # each row of inner scaled by its weight
-        weights, (r0, _), length = outer.diagonal, inner.offset, len(inner.diagonal)
-        rows = weights[: len(inner.rows), None] * inner.rows
-        pieces = {"diagonal": weights[r0 : r0 + length] * inner.diagonal, "offset": inner.offset}
+        weights, k = outer.diagonal, len(inner.rows)
+        rows, diag = weights[:k, None] * inner.rows, weights[k:] * inner.diagonal
     else:
-        rows, pieces = outer.entries @ inner.entries, {}
+        rows, diag = outer.entries @ inner.entries, np.empty(0)
     return TruncatedOperator(
         rows,
         inner.domain_tag,
         outer.codomain_tag,
         attrs,
         f"{outer.label}@{inner.label}",
-        **pieces,
+        diagonal=diag,
         _fresh=True,
     )
 
@@ -488,15 +476,12 @@ def block_product(first: TruncatedOperator, second: TruncatedOperator) -> Trunca
     a, b = first.attributes, second.attributes
     n1, m1 = first.n_rows, first.n_cols
     n2, m2 = second.n_rows, second.n_cols
-    # a square diagonal beside first continues first's diagonal, or starts one
-    # at (n1, m1), when first's diagonal is empty or ends at that corner
-    r0, c0 = first.offset if len(first.diagonal) else (n1, m1)
-    if _is_diagonal(second) and r0 + len(first.diagonal) == n1 and c0 + len(first.diagonal) == m1:
+    if _is_diagonal(second):  # extends first's corner diagonal
         rows = np.zeros((len(first.rows), m1 + m2))
         rows[:, :m1] = first.rows
-        pieces = {"diagonal": np.concatenate((first.diagonal, second.diagonal)), "offset": (r0, c0)}
+        diag = np.concatenate((first.diagonal, second.diagonal))
     else:
-        rows, pieces = np.zeros((n1 + n2, m1 + m2)), {}
+        rows, diag = np.zeros((n1 + n2, m1 + m2)), np.empty(0)
         rows[:n1, :m1] = first.entries
         rows[n1:, m1:] = second.entries
 
@@ -532,7 +517,7 @@ def block_product(first: TruncatedOperator, second: TruncatedOperator) -> Trunca
         SpaceTag.product(first.codomain_tag, second.codomain_tag),
         attrs,
         f"({first.label},{second.label})",
-        **pieces,
+        diagonal=diag,
         _fresh=True,
     )
 
@@ -554,7 +539,6 @@ def injective_counterexample(n: int) -> TruncatedOperator:
         INJECTIVE_COUNTEREXAMPLE_ATTRIBUTES,
         "sum_decay",
         diagonal=1.0 / np.arange(2, n + 1),
-        offset=(1, 1),
         _fresh=True,
     )
 

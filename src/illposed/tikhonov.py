@@ -112,7 +112,7 @@ class MinimizerCertificate:
 
 def soft_threshold(v: float, t: float) -> float:
     """Shrink v toward zero by t: sign(v) * max(|v| - t, 0)."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("threshold must be nonnegative")
     mag = abs(v) - t
     if mag <= 0.0:
@@ -313,7 +313,7 @@ def closed_form_minimizer(
     """
     if not 1 <= k <= len(directions):
         raise ValueError(f"k must be in 1..{len(directions)}")
-    if alpha < 0.0:
+    if not alpha >= 0.0:
         raise ValueError("alpha must be nonnegative")
     x = np.zeros(len(directions))
     base = soft_threshold(lam, alpha)

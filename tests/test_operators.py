@@ -374,35 +374,42 @@ def test_structured_products_match_the_dense_matrix(master_directions, name, n):
     expected = {"B": "rows", "EoB": "rows", "CoB": "rows", "BxI": "rows over a diagonal",
                 "inj": "rows over a diagonal"}.get(name, "diagonal")
     assert _structure(op) == expected
-    entries = op.entries
+    # an identity beside it extends the corner diagonal: no dense matrix either
+    beside = block_product(op, identity(3))
+    assert "entries" not in vars(beside) and vars(op).get("entries", op.rows) is op.rows
+    assert _structure(beside) == ("diagonal" if expected == "diagonal" else "rows over a diagonal")
     rng = np.random.default_rng([n, len(name)])
-    x, eta = rng.standard_normal(op.n_cols), rng.standard_normal(op.n_rows)
-    got, want = [op.apply(x), op.adjoint(eta)], [entries @ x, entries.T @ eta]
-    if expected == "rows over a diagonal":
-        # the dense product may sum a row or column in another order: within
-        # 4 ulp of its 1-norm, the sum of the magnitudes of its terms
-        norms = [np.abs(entries) @ np.abs(x), np.abs(entries).T @ np.abs(eta)]
-        for g, w, norm in zip(got, want, norms):
-            assert np.all(np.abs(g - w) <= 4 * np.spacing(norm))
-    else:
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes()
-    for j in range(op.n_cols):
-        assert op.column(j).tobytes() == entries[:, j].tobytes()
+    for op in (op, beside):
+        entries = op.entries
+        x, eta = rng.standard_normal(op.n_cols), rng.standard_normal(op.n_rows)
+        got, want = [op.apply(x), op.adjoint(eta)], [entries @ x, entries.T @ eta]
+        if _structure(op) == "rows over a diagonal":
+            # the dense product may sum a row or column in another order: within
+            # 4 ulp of its 1-norm, the sum of the magnitudes of its terms
+            norms = [np.abs(entries) @ np.abs(x), np.abs(entries).T @ np.abs(eta)]
+            for g, w, norm in zip(got, want, norms):
+                assert np.all(np.abs(g - w) <= 4 * np.spacing(norm))
+        else:
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+        for j in range(op.n_cols):
+            assert op.column(j).tobytes() == entries[:, j].tobytes()
 
 
 def test_structured_pieces_of_the_builders():
     inj = injective_counterexample(6)
     np.testing.assert_array_equal(inj.rows, np.ones((1, 6)))
     np.testing.assert_array_equal(inj.diagonal, 1.0 / np.arange(2, 7))
-    assert inj.offset == (1, 1)
+    np.testing.assert_array_equal(inj.entries[1:, 1:], np.diag(inj.diagonal))  # the corner
     scaled = compose(diagonal(harmonic, 3), mazur(enumerate_directions(EnumerationParams(3, 2)), 9, 3))
     assert not len(scaled.diagonal) and scaled.rows.shape == (3, 9)
     pair = block_product(diagonal(harmonic, 2), identity(3))
-    assert not len(pair.rows) and pair.offset == (0, 0)
+    assert pair.rows.shape == (0, 5)
     np.testing.assert_array_equal(pair.diagonal, [1.0, 0.5, 1.0, 1.0, 1.0])
     beside = block_product(inj, identity(2))  # continues inj's diagonal at its corner
-    assert beside.offset == (1, 1) and len(beside.diagonal) == 7 and beside.rows.shape == (1, 8)
+    assert len(beside.diagonal) == 7 and beside.rows.shape == (1, 8)
+    np.testing.assert_array_equal(beside.entries[:6, :6], inj.entries)
+    np.testing.assert_array_equal(beside.entries[6:, 6:], np.eye(2))
     dense = block_product(identity(2), inj)  # rows below a diagonal: one dense block
     assert not len(dense.diagonal) and dense.rows.shape == (8, 8)
     np.testing.assert_array_equal(dense.entries[2:, 2:], inj.entries)
@@ -411,19 +418,23 @@ def test_structured_pieces_of_the_builders():
 def test_structured_construction_validates_the_pieces():
     tags = SpaceTag.ell(2.0, 4), SpaceTag.ell(2.0, 4)
     attrs = OperatorAttributes()
-    for rows, diag, offset in [
-        (np.ones((2, 4)), np.ones(3), (1, 0)),  # the diagonal overlaps the rows
-        (np.ones((1, 4)), np.ones(4), (1, 0)),  # past the last row
-        (np.ones((1, 4)), np.ones(3), (1, 2)),  # past the last column
-        (np.ones((5, 4)), np.ones(0), (0, 0)),  # more rows than the codomain
+    for rows, diag, n_cols in [
+        (np.ones((2, 4)), np.ones(3), 4),  # the diagonal overlaps the rows
+        (np.ones((1, 4)), np.ones(4), 4),  # past the last row
+        (np.empty((0, 3)), np.ones(4), 3),  # past the last column
+        (np.ones((5, 4)), np.ones(0), 4),  # more rows than the codomain
+        (np.ones((1, 4)), np.ones(2), 4),  # a diagonal off the corner, row 4 uncovered
+        (np.ones((1, 4)), np.ones(0), 4),  # rows 2-4 that no piece covers
     ]:
         with pytest.raises(ValueError, match="do not fit tags"):
-            TruncatedOperator(rows, *tags, attrs, "bad", diagonal=diag, offset=offset)
+            TruncatedOperator(rows, SpaceTag.ell(2.0, n_cols), tags[1], attrs, "bad", diagonal=diag)
     with pytest.raises(ValueError, match="finite"):
-        TruncatedOperator(np.ones((1, 4)), *tags, attrs, "bad", diagonal=[1.0, np.nan], offset=(1, 1))
+        TruncatedOperator(np.ones((1, 4)), *tags, attrs, "bad", diagonal=[1.0, np.nan, 1.0])
     weights = np.ones(3)
-    op = TruncatedOperator(np.ones((1, 4)), *tags, attrs, "ok", diagonal=weights, offset=(1, 1))
+    op = TruncatedOperator(np.ones((1, 4)), *tags, attrs, "ok", diagonal=weights)
     weights[0] = 5.0  # copied
     np.testing.assert_array_equal(op.entries, [[1, 1, 1, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    short = TruncatedOperator(np.ones((1, 4)), *tags, attrs, "short")  # rows 2-4 are zero
+    rows = np.zeros((4, 4))
+    rows[0] = 1.0
+    short = TruncatedOperator(rows, *tags, attrs, "short")  # rows 2-4 are zero rows of the block
     np.testing.assert_array_equal(short.apply(np.arange(4.0)), [6.0, 0.0, 0.0, 0.0])

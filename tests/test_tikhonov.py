@@ -52,8 +52,9 @@ def test_soft_threshold_cases():
     assert soft_threshold(1.0, 0.3) == pytest.approx(0.7, abs=1e-15)
     assert soft_threshold(0.2, 0.3) == 0.0
     assert soft_threshold(-1.0, 0.3) == pytest.approx(-0.7, abs=1e-15)
-    with pytest.raises(ValueError):
-        soft_threshold(1.0, -0.1)
+    for t in (-0.1, float("nan")):  # a NaN threshold fails the check, not the result
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            soft_threshold(1.0, t)
 
 
 @given(
@@ -781,6 +782,7 @@ def test_closed_form_gamma_validation(master_directions):
 @pytest.mark.parametrize(
     "k, alpha, message", [(0, 0.3, "k must be in 1..200"), (201, 0.3, "k must be in 1..200"),
                           (5, -0.1, "alpha must be nonnegative"), (-3, 0.3, "k must be in 1..200"),
+                          (5, float("nan"), "alpha must be nonnegative"),
                           (250, 0.3, "k must be in 1..200")]
 )
 def test_closed_form_rejects_an_index_or_alpha_out_of_range(master_directions, k, alpha, message):
