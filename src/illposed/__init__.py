@@ -41,9 +41,6 @@ from .probes import (
     weak_star_probe,
 )
 from .tikhonov import (
-    CollapseRow,
-    ConvergenceReport,
-    ConvergenceRow,
     MinimizerCertificate,
     TikhonovProblem,
     closed_form_minimizer,

@@ -20,12 +20,18 @@ soft-thresholded spike at k and, when the direction sequence also contains
 -zeta^(k) at index l, a one-parameter family (base + gamma) e^(k) + gamma
 e^(l) sharing the same objective value.  All coordinate indices in this
 module are 1-based, matching direction indices.
+
+The two experiments return report rows, one dict per solve whose keys are
+the report's columns in order: ``collapse_experiment`` rows hold depth,
+support_index, support_size, best_correlation, beta, l1_norm, one coord_J
+per probe index J and converged; ``convergence_experiment`` rows hold delta,
+alpha, error_l1, support_index, support_size and converged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,10 +47,7 @@ __all__ = [
     "solve",
     "closed_form_minimizer",
     "minimizer_family_distance",
-    "CollapseRow",
     "collapse_experiment",
-    "ConvergenceRow",
-    "ConvergenceReport",
     "convergence_experiment",
 ]
 
@@ -114,6 +117,8 @@ def soft_threshold(v: float, t: float) -> float:
     """Shrink v toward zero by t: sign(v) * max(|v| - t, 0)."""
     if not t >= 0.0:
         raise ValueError("threshold must be nonnegative")
+    if math.isnan(v):
+        raise ValueError("value must not be NaN")
     mag = abs(v) - t
     if mag <= 0.0:
         return 0.0
@@ -369,27 +374,6 @@ def minimizer_family_distance(
     return min(dist_at(g) for g in candidates)
 
 
-@dataclass(frozen=True)
-class CollapseRow:
-    """One enumeration depth of the data-approximation experiment.
-
-    ``support_index`` and ``beta`` may name either member of an antipodal pair
-    (a_l = -a_k), with opposite signs: the last bit of y - Ax decides.
-    ``best_correlation`` is the running maximum of one product <y/||y||_2, zeta>
-    over the deepest prefix, so it never decreases with depth.
-    """
-
-    depth: int
-    support_index: int
-    support_size: int
-    best_correlation: float
-    beta: float
-    l1_norm: float
-    coord_values: tuple[float, ...]
-    converged: bool
-    solution: np.ndarray = field(repr=False, compare=False)
-
-
 def collapse_experiment(
     directions: DirectionSet,
     y: np.ndarray,
@@ -397,14 +381,23 @@ def collapse_experiment(
     depth_schedule: list[int],
     probe_indices: tuple[int, ...] = (1, 2, 3),
     tol: float = 1e-10,
-) -> list[CollapseRow]:
+) -> list[dict]:
     """Solve the problem on growing direction prefixes for fixed generic data.
 
     As the prefix deepens, the best-aligned direction tracks y ever more
     closely, so the minimizer's mass migrates to ever-later indices: every
     fixed coordinate decays to zero while the l^1 norm stays near
     ||y||_2 - alpha.  The data must not be proportional to any enumerated
-    direction and must satisfy ||y||_2 > alpha > 0.
+    direction and must satisfy ||y||_2 > alpha > 0, and the probe indices
+    must be distinct.
+
+    One row per depth, keyed depth, support_index, support_size,
+    best_correlation, beta, l1_norm, coord_J for each probe index J (0 past
+    the depth) and converged.  ``support_index`` and ``beta`` may name
+    either member of an antipodal pair (a_l = -a_k), with opposite signs: the
+    last bit of y - Ax decides.  ``best_correlation`` is the running maximum
+    of one product <y/||y||_2, zeta> over the deepest prefix, so it never
+    decreases with depth.
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError("alpha must be a positive finite number")
@@ -424,59 +417,30 @@ def collapse_experiment(
         raise ValueError("depths must be positive")
     if any(j < 1 for j in probe_indices):
         raise ValueError("probe indices must be >= 1")
+    if len(set(probe_indices)) < len(probe_indices):  # repeated coord_J keys would merge
+        raise ValueError("probe indices must be distinct")
     # one product for all rows: BLAS can round a row differently in a shorter prefix
     best = np.maximum.accumulate(_correlations(directions[:max_depth], y))
     if best[-1] > 1.0 - 1e-9:
         raise ValueError("y is (numerically) proportional to an enumerated direction")
     best = best[np.subtract(depth_schedule, 1)].tolist()  # frees the running maximum before the solves
-    rows: list[CollapseRow] = []
+    rows = []
     for depth, best_correlation in zip(depth_schedule, best):
         n_rows = max(len(y), int(directions.support[:depth].max()))
         op = mazur(directions, depth, n_rows)
         data = np.zeros(n_rows)
         data[: len(y)] = y
         cert = solve(TikhonovProblem(op, data, alpha), tol=tol)
-        dominant = int(np.argmax(np.abs(cert.x))) + 1
-        values = tuple(
-            float(cert.x[j - 1]) if j <= depth else 0.0 for j in probe_indices
-        )
-        rows.append(
-            CollapseRow(
-                depth=depth,
-                support_index=dominant,
-                support_size=len(cert.support),
-                best_correlation=best_correlation,
-                beta=float(cert.x[dominant - 1]),
-                l1_norm=float(np.abs(cert.x).sum()),
-                coord_values=values,
-                converged=cert.converged,
-                solution=cert.x,
-            )
-        )
+        x = cert.x
+        dominant = int(np.argmax(np.abs(x))) + 1
+        rows.append({
+            "depth": depth, "support_index": dominant, "support_size": len(cert.support),
+            "best_correlation": best_correlation, "beta": float(x[dominant - 1]),
+            "l1_norm": float(np.abs(x).sum()),
+            **{f"coord_{j}": float(x[j - 1]) if j <= depth else 0.0 for j in probe_indices},
+            "converged": cert.converged,
+        })
     return rows
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    delta: float
-    alpha: float
-    error_l1: float
-    support_index: int
-    support_size: int
-    converged: bool
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Error table of a noise-to-zero run.
-
-    ``guaranteed`` records whether the operator declares weak*-to-weak
-    continuity, the hypothesis under which errors must decay to zero; runs
-    without it are still performed to exhibit the failure mode.
-    """
-
-    guaranteed: bool
-    rows: list[ConvergenceRow]
 
 
 def convergence_experiment(
@@ -486,7 +450,7 @@ def convergence_experiment(
     alpha_factor: float = 1.0,
     seed: int = 42,
     tol: float = 1e-10,
-) -> ConvergenceReport:
+) -> list[dict]:
     """Perturb exact data along a fixed direction and track solution error.
 
     For each delta the data is A x_true + delta * u with a unit vector u
@@ -494,6 +458,9 @@ def convergence_experiment(
     alpha_factor * delta, and the row records the l^1 distance of the
     minimizer from x_true together with its dominant support index.  All
     deltas and alphas are checked to be positive and finite before any solve.
+
+    One row per delta, keyed delta, alpha, error_l1, support_index,
+    support_size and converged.
     """
     x_true = np.asarray(x_true, dtype=float)
     if x_true.shape != (op.n_cols,):
@@ -506,22 +473,14 @@ def convergence_experiment(
     u = np.random.default_rng(seed).standard_normal(op.n_rows)
     u = u / np.linalg.norm(u)
     y_exact = op.apply(x_true)
-    rows: list[ConvergenceRow] = []
+    rows = []
     for delta, alpha in zip(delta_schedule, alphas):
         data = y_exact + delta * u
         cert = solve(TikhonovProblem(op, data, alpha), tol=tol)
-        dominant = int(np.argmax(np.abs(cert.x))) + 1
-        rows.append(
-            ConvergenceRow(
-                delta=float(delta),
-                alpha=alpha,
-                error_l1=float(np.abs(cert.x - x_true).sum()),
-                support_index=dominant,
-                support_size=len(cert.support),
-                converged=cert.converged,
-            )
-        )
-    return ConvergenceReport(
-        guaranteed=op.attributes.weakstar_to_weak_continuous is True,
-        rows=rows,
-    )
+        rows.append({
+            "delta": float(delta), "alpha": alpha,
+            "error_l1": float(np.abs(cert.x - x_true).sum()),
+            "support_index": int(np.argmax(np.abs(cert.x))) + 1,
+            "support_size": len(cert.support), "converged": cert.converged,
+        })
+    return rows

@@ -111,34 +111,42 @@ def test_criterion_4_collapse(directions):
     rows = ip.collapse_experiment(
         directions, y, alpha, depths, probe_indices=(1, 2, 3), tol=1e-10
     )
-    assert all(r.converged for r in rows)
+    assert all(r["converged"] for r in rows)
 
-    correlations = [r.best_correlation for r in rows]
+    correlations = [r["best_correlation"] for r in rows]
     assert all(b >= a for a, b in zip(correlations, correlations[1:]))
     assert correlations[-1] >= 0.95
 
     final = rows[-1]
-    assert all(abs(v) < 1e-6 for v in final.coord_values)
+    assert all(abs(final[f"coord_{j}"]) < 1e-6 for j in (1, 2, 3))
     norm_y = float(np.linalg.norm(y))
-    assert final.l1_norm >= norm_y - alpha - 0.05
+    assert final["l1_norm"] >= norm_y - alpha - 0.05
+
+    # each row reports the minimizer of its own depth, to the bit
+    solutions = []
+    for row in rows:
+        problem = ip.TikhonovProblem(ip.mazur(directions, row["depth"], 3), y, alpha)
+        x = ip.solve(problem, tol=1e-10).x
+        assert row["beta"] == x[row["support_index"] - 1]
+        solutions.append(x)
 
     lower = 0.5 * (norm_y - alpha)
     checked_pairs = 0
-    for a, b in zip(rows, rows[1:]):
-        support_a = set(np.nonzero(np.abs(a.solution) > 1e-12)[0])
-        support_b = set(np.nonzero(np.abs(b.solution) > 1e-12)[0])
+    for a, b in zip(solutions, solutions[1:]):
+        support_a = set(np.nonzero(np.abs(a) > 1e-12)[0])
+        support_b = set(np.nonzero(np.abs(b) > 1e-12)[0])
         if support_a == support_b:
             continue
-        pad_a = np.zeros(b.depth)
-        pad_a[: a.depth] = a.solution
-        distance = float(np.abs(pad_a - b.solution).sum())
-        assert distance >= lower, (a.depth, b.depth, distance)
+        pad_a = np.zeros(len(b))
+        pad_a[: len(a)] = a
+        distance = float(np.abs(pad_a - b).sum())
+        assert distance >= lower, (len(a), len(b), distance)
         checked_pairs += 1
     assert checked_pairs >= 1
     print(
         "ACCEPTANCE 4 PASS: correlations "
         + "->".join(f"{c:.4f}" for c in correlations)
-        + f", final probe coords < 1e-6, l1 {final.l1_norm:.4f} >= "
+        + f", final probe coords < 1e-6, l1 {final['l1_norm']:.4f} >= "
         f"{norm_y - alpha - 0.05:.4f}, {checked_pairs} support jumps of size >= {lower:.3f}"
     )
 
@@ -243,19 +251,17 @@ def test_criterion_8_convergence_and_failure_mode(directions):
     x_true = np.zeros(50)
     x_true[0] = 1.0
     deltas = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
-    report = ip.convergence_experiment(op, x_true, deltas, tol=1e-10)
-    assert report.guaranteed is True
-    assert all(r.converged for r in report.rows)
-    errors = [r.error_l1 for r in report.rows]
+    rows = ip.convergence_experiment(op, x_true, deltas, tol=1e-10)
+    assert all(r["converged"] for r in rows)
+    errors = [r["error_l1"] for r in rows]
     assert all(b < a for a, b in zip(errors, errors[1:]))
     assert errors[-1] <= 1e-3
 
     b = ip.mazur(directions, 800, 3)
     x_true_b = np.zeros(800)
     x_true_b[0] = 1.0
-    report_b = ip.convergence_experiment(b, x_true_b, deltas, tol=1e-8)
-    assert report_b.guaranteed is False
-    supports = [r.support_index for r in report_b.rows]
+    rows_b = ip.convergence_experiment(b, x_true_b, deltas, tol=1e-8)
+    supports = [r["support_index"] for r in rows_b]
     assert len(set(supports)) > 1
     print(
         f"ACCEPTANCE 8 PASS: diagonal errors {errors[0]:.2e} -> {errors[-1]:.2e} "

@@ -423,6 +423,8 @@ def test_seed_is_taken_where_numbers_are_drawn(tmp_path, argv):
         (["growth", "--sizes=-3"], "--sizes"),
         (["growth", "--sizes", "0"], "--sizes"),
         (["growth", "--sizes", "8,0,16"], "--sizes"),
+        (["convergence", "--n", "0"], "--n"),
+        (["convergence", "--n=-3"], "--n"),
     ],
 )
 def test_empty_schedule_or_zero_size_names_the_option(tmp_path, capsys, argv, option):
