@@ -10,8 +10,8 @@ shell.  Indices are 1-based and stable across runs.
 An enumeration is stored by columns in a ``DirectionSet``: an int64 canon
 matrix, a support vector, a read-only realized matrix in Fortran order (the
 Mazur matrix of any prefix whose rows fit is a view of its transpose) and a
-1-based antipode array.  Each support is one grid over the entry axis
-M .. -M, split into shells by a stable sort on the largest magnitude.
+1-based antipode array.  It comes from one grid [-M, M]^S on the axis M .. -M,
+put into shells by one stable sort on support and largest magnitude.
 Negation maps a shell onto itself and reverses descending lexicographic
 order, so the antipode of the i-th of a shell's N vectors is its (N-1-i)-th,
 with no search.  Items are bare row handles that read their row on demand
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice, repeat
+from numbers import Integral
 from operator import itemgetter
 
 import numpy as np
@@ -150,34 +151,11 @@ class EnumerationParams:
     max_entry: int = 8
 
     def __post_init__(self) -> None:
-        if self.max_support < 1 or self.max_entry < 1:
-            raise ValueError("max_support and max_entry must be >= 1")
-
-
-def _primitive_rows(support: int, axis: np.ndarray, powers: np.ndarray):
-    # The primitive vectors of exact support `support` on the descending axis,
-    # shell by shell, their l^2 norms and the shell sizes.
-    entry = len(powers) - 1
-    lines = [axis.reshape((-1,) + (1,) * (support - 1 - j)) for j in range(support)]
-    top = gcd = np.abs(lines[0])
-    tuple_index = top.astype(np.min_scalar_type((entry + 1) ** support))  # row in `table`
-    for mag in map(np.abs, lines[1:]):
-        top = np.maximum(top, mag)
-        gcd = np.gcd(gcd, mag)
-        tuple_index = tuple_index * (entry + 1) + mag
-    shell = (top * ((gcd == 1) & (lines[-1] != 0))).reshape(-1)
-    counts = np.bincount(shell, minlength=entry + 1)
-    # C order is descending lexicographic; the stable sort keeps it, dropped points first
-    picked = np.argsort(shell, kind="stable")[counts[0]:]
-    rows = np.stack(np.broadcast_arrays(*lines), -1).reshape(-1, support).take(picked, 0)
-    # float(sum(|v|**2) ** 0.5) once per magnitude tuple: the same powers, the same
-    # row sum (C-contiguous: from 8 terms numpy sums pairwise), the scalar pow once per
-    # distinct sum (np.sqrt differs in the last bit on 2,482 sums to 3e6, first 2,921).
-    table = np.indices((entry + 1,) * support).reshape(support, -1).T
-    sums = np.ascontiguousarray(powers[table]).sum(axis=1)
-    distinct, which = np.unique(sums, return_inverse=True)
-    norms = np.array([float(s ** 0.5) for s in distinct])[which]
-    return rows, norms[tuple_index.reshape(-1)[picked]], counts[1:]
+        for name in ("max_support", "max_entry"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy integers wrap in grid sizes
 
 
 def enumerate_directions(params: EnumerationParams) -> DirectionSet:
@@ -185,29 +163,51 @@ def enumerate_directions(params: EnumerationParams) -> DirectionSet:
 
     The order is fixed: shells by increasing support bound, then increasing
     entry bound, then descending lexicographic within the shell.  The result
-    is a pure function of ``params``.
+    is a pure function of ``params``.  Sort keys and norms are computed once
+    per magnitude vector, in the smallest integer dtypes that hold them.
     """
-    entry, widths = params.max_entry, range(1, params.max_support + 1)
+    width, entry = params.max_support, params.max_entry
     axis = np.arange(entry, -entry - 1, -1, dtype=np.min_scalar_type(-entry - 1))
-    powers = np.arange(entry + 1, dtype=float) ** 2.0
-    # allocate first, one intp per point of the widest grid (its argsort): bounds
-    # too large to allocate fail before any block is built
-    np.empty(len(axis) ** params.max_support, dtype=np.intp)
-    blocks = [_primitive_rows(width, axis, powers) for width in widths]
-    sizes = [len(rows) for rows, _, _ in blocks]
-    counts = np.concatenate([shells for _, _, shells in blocks])
-    canon = np.zeros((sum(sizes), params.max_support), dtype=np.int64)
-    columns = np.zeros(canon.shape[::-1])  # realized by columns, as mazur lays it out
-    for (rows, norms, _), start in zip(blocks, np.cumsum([0, *sizes])):
-        width, stop = rows.shape[1], start + len(rows)
-        canon[start:stop, :width] = rows
-        np.divide(rows.T, norms, out=columns[:width, start:stop])
+    # allocate first, one intp per grid point (its argsort): bounds too large to
+    # allocate fail before the grid is built
+    np.empty(len(axis) ** width, dtype=np.intp)
+    mags = np.arange(entry + 1, dtype=np.min_scalar_type((width + 1) * (entry + 1) - 1))
+    squares = mags.astype(np.min_scalar_type(width * entry**2)) ** 2
+    # key and sum of squares over [0, entry]^width, grown one coordinate (the last axis) at a time
+    top = gcd = last = sums = np.zeros((), np.uint8)  # each takes its dtype from mags or squares
+    for j in range(width):
+        top = np.maximum(top[..., None], mags)
+        gcd = np.gcd(gcd[..., None], mags)
+        last = np.maximum(last[..., None], np.minimum(mags, 1) * ((j + 1) * (entry + 1)))
+        sums = sums[..., None] + squares
+    key = (last + top) * (gcd == 1)  # support * (entry + 1) + top, 0 if dropped
+    # norms by the scalar pow once per distinct exact sum (np.sqrt differs in the last bit
+    # on 2,482 sums to 3e6); a table indexed by the sum would outgrow a support-1 grid
+    distinct, which = np.unique(sums, return_inverse=True)
+    roots = np.array([float(s**0.5) for s in distinct.astype(float)])
+    which = which.reshape(sums.shape).astype(np.min_scalar_type(len(distinct) - 1))
+    # both depend on the magnitudes alone: spread them over the grid's axis M .. -M
+    for j in reversed(range(width)):
+        key, which = key.take(np.abs(axis), j), which.take(np.abs(axis), j)
+    counts = np.bincount(key.ravel(), minlength=(width + 1) * (entry + 1))
+    # C order over points with trailing zeros is descending lexicographic over
+    # the leading entries; the stable sort keeps it, dropped points first
+    picked = np.argsort(key, axis=None, kind="stable")[counts[0]:]
+    norms = roots[which.take(picked)]
+    grid = np.empty((len(axis),) * width + (width,), axis.dtype)
+    for j in range(width):
+        grid[..., j] = axis.reshape((-1,) + (1,) * (width - 1 - j))
+    rows = grid.reshape(-1, width).take(picked, 0)
+    del key, grid, picked, which  # before the arrays below, which would pin them in the heap
+    columns = np.divide(rows.T, norms, order="C")  # realized by columns, as mazur lays it out
     columns.flags.writeable = False
-    del blocks, rows, norms  # before the arrays below, which would pin them in the heap
-    ends = np.cumsum(counts)
+    canon = rows.astype(np.int64)
+    del rows, norms
+    shells = counts.reshape(width + 1, entry + 1)[1:, 1:].ravel()
     # a shell mirrors onto itself: of the rows [a, b), row i faces row a + b - 1 - i
-    antipodes = np.repeat(2 * ends - counts, counts) - np.arange(len(canon))
-    support = np.repeat(widths, sizes)
+    antipodes = np.repeat(2 * np.cumsum(shells) - shells, shells)
+    antipodes -= np.arange(len(canon))
+    support = np.repeat(np.arange(1, width + 1), shells.reshape(width, entry).sum(1))
     return DirectionSet(canon, support, columns.T, antipodes)
 
 

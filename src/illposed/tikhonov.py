@@ -117,8 +117,8 @@ def soft_threshold(v: float, t: float) -> float:
     """Shrink v toward zero by t: sign(v) * max(|v| - t, 0)."""
     if not t >= 0.0:
         raise ValueError("threshold must be nonnegative")
-    if math.isnan(v):
-        raise ValueError("value must not be NaN")
+    if not math.isfinite(v):
+        raise ValueError("value must not be NaN or infinite")
     mag = abs(v) - t
     if mag <= 0.0:
         return 0.0

@@ -195,11 +195,25 @@ def test_coverage_validation():
         ({"max_support": 0}, ">= 1"),
         ({"max_support": -1, "max_entry": 5}, ">= 1"),
         ({"max_entry": 0}, ">= 1"),
+        ({"max_support": 3, "max_entry": 2.5}, "max_entry must be an integer"),
+        ({"max_support": 2.0, "max_entry": 3}, "max_support must be an integer"),
+        ({"max_support": True, "max_entry": 3}, "max_support must be an integer"),
+        ({"max_entry": np.bool_(True)}, "max_entry must be an integer"),
+        ({"max_entry": "3"}, "max_entry must be an integer"),
+        ({"max_support": np.int64(0)}, "max_support must be an integer >= 1"),
     ],
 )
 def test_enumeration_params_validation(bounds, message):
     with pytest.raises(ValueError, match=message):
         EnumerationParams(**bounds)
+
+
+def test_enumeration_params_accept_numpy_integers():
+    params = EnumerationParams(np.int64(2), np.uint8(3))
+    assert params == EnumerationParams(2, 3)
+    assert type(params.max_support) is int and type(params.max_entry) is int
+    expected = enumerate_directions(EnumerationParams(2, 3))
+    assert enumerate_directions(params).canon.tobytes() == expected.canon.tobytes()
 
 
 # (2 * entry + 1) ** support exceeds 2^63 cells: numpy refuses the grid at
@@ -322,6 +336,30 @@ def _assert_matches_oracle(got, expected):
         assert not d.realized.flags.writeable
 
 
+def _small_grids(width):
+    # entry bounds whose grid has at most 3,000 points, and at most 60 (the
+    # walk goes over the grid once per shell)
+    return st.tuples(st.just(width), st.integers(1, min(60, (round(3000 ** (1 / width)) - 1) // 2)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=7).flatmap(_small_grids))
+@example((7, 1))
+@example((2, 27))
+def test_enumeration_matches_oracle_on_small_grids(bounds):
+    got = enumerate_directions(EnumerationParams(*bounds))
+    expected = _oracle_enumeration(EnumerationParams(*bounds))
+    canon_list = [d.canon for d in expected]
+    assert len(got) == len(expected)
+    assert got.support.tolist() == [d.support for d in expected]
+    assert got.antipodes.tolist() == _oracle_antipodes(canon_list)
+    for row, d in zip(got.canon.tolist(), expected):
+        assert tuple(row[: d.support]) == d.canon and not any(row[d.support :])
+    for i, d in enumerate(expected):
+        assert got.realized[i, : d.support].tobytes() == d.realized.tobytes(), d.canon
+        assert not got.realized[i, d.support :].any()
+
+
 @pytest.mark.parametrize("bounds", DIFF_BOUNDS)
 def test_columnar_enumeration_matches_oracle(bounds):
     params = EnumerationParams(*bounds)
@@ -361,14 +399,29 @@ def test_antipode_array_matches_verbatim_scan_on_small_bounds():
             assert dirs[:limit].antipodes[k - 1] == (_linear_scan(oracle, k, limit) or 0)
 
 
-@pytest.mark.parametrize("support, entry", [(1, 128), (2, 127), (2, 128), (2, 200)])
+# Each pair of bounds straddles an edge where a dtype of the kernel widens:
+# the axis (int8 to 127, then int16), the sum of squares (uint8 to 255, uint16
+# to 65,535, then uint32) and the sort key (uint8 to 255, uint16 to 65,535,
+# then uint32), with the largest key (support + 1) * (entry + 1) - 1.
+@pytest.mark.parametrize(
+    "support, entry",
+    [
+        (1, 128), (2, 127), (2, 128), (2, 200),
+        (2, 11), (2, 12), (1, 255), (1, 256), (2, 181), (2, 182),
+        (2, 84), (2, 85), (1, 32767), (1, 32768),
+    ],
+)
 def test_shell_blocks_match_walk_at_the_int8_edge(support, entry):
     # the last shell of the enumeration is the one of exact support and entry
     expected = _oracle_shell_vectors(support, entry)
     dirs = enumerate_directions(EnumerationParams(support, entry))
-    last = dirs.canon[len(dirs) - len(expected) :, :support]
+    first = len(dirs) - len(expected)
+    last = dirs.canon[first:, :support]
     assert [tuple(row) for row in last.tolist()] == expected
-    assert np.abs(dirs.canon[: len(dirs) - len(expected)]).max() < entry
+    assert np.abs(dirs.canon[:first]).max() < entry
+    for i, canon in enumerate(expected, start=first):
+        realized = RationalDirection(canon, i + 1).realized
+        assert dirs.realized[i, :support].tobytes() == realized.tobytes(), (i, canon)
 
 
 @pytest.mark.parametrize("support, entry, step", [(9, 2, 997), (2, 54, 1)])

@@ -55,8 +55,9 @@ def test_soft_threshold_cases():
     for t in (-0.1, float("nan")):  # a NaN threshold fails the check, not the result
         with pytest.raises(ValueError, match="threshold must be nonnegative"):
             soft_threshold(1.0, t)
-    with pytest.raises(ValueError, match="value must not be NaN"):  # so does a NaN value
-        soft_threshold(float("nan"), 0.3)
+    for v in (math.nan, math.inf, -math.inf):  # so does a value that is not finite
+        with pytest.raises(ValueError, match="value must not be NaN or infinite"):
+            soft_threshold(v, 0.3)
 
 
 @given(
@@ -791,9 +792,9 @@ def test_closed_form_gamma_validation(master_directions):
                           (5, 0.3, "value must not be NaN")]
 )
 def test_closed_form_rejects_an_index_or_alpha_out_of_range(master_directions, k, alpha, message):
-    lam = math.nan if message == "value must not be NaN" else 1.0
-    with pytest.raises(ValueError, match=re.escape(message)):
-        closed_form_minimizer(master_directions[:200], k, lam, alpha)
+    for lam in (math.nan, math.inf, -math.inf) if message.startswith("value") else (1.0,):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            closed_form_minimizer(master_directions[:200], k, lam, alpha)
     if message.startswith("k must"):
         # the family distance checks k too: unchecked, 0 and -3 read a spike from the end of x,
         # and past the set's end a longer x reads antipodes the set does not have
@@ -826,8 +827,9 @@ def test_family_distance_helper(master_directions):
     assert minimizer_family_distance(off, dirs, 5, 1.0, 0.3) == pytest.approx(
         0.25, abs=1e-12
     )
-    with pytest.raises(ValueError, match="value must not be NaN"):
-        minimizer_family_distance(principal, dirs, 5, math.nan, 0.3)
+    for lam in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="value must not be NaN or infinite"):
+            minimizer_family_distance(principal, dirs, 5, lam, 0.3)
 
 
 def test_collapse_validation(master_directions):
