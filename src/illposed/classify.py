@@ -44,7 +44,6 @@ __all__ = [
     "check_consistency",
     "CatalogEntry",
     "catalog",
-    "OPERATORS",
     "build_operator",
     "build_catalog_operator",
     "harmonic",
@@ -159,138 +158,122 @@ def check_consistency(attrs: OperatorAttributes) -> list[Violation]:
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A named example operator: declared attributes, expected verdict, builder."""
+
     label: str
     note: str
     attributes: OperatorAttributes
     expected_verdict: Verdict
     expected_hybrid: bool
+    # build(size, directions, domain exponent of a standalone diag), as in build_operator
+    build: Callable[[int, Directions, float], TruncatedOperator]
+
+
+# D1 and D2 pair the same two blocks in either order, so they share one record
+_DIAGONAL_PAIR = OperatorAttributes(
+    range_closed=False,
+    range_has_closed_infdim_subspace=True,
+    nullspace_complemented=True,
+    strictly_singular=False,
+    compact=False,
+    injective=True,
+    surjective=False,
+    weakstar_to_weak_continuous=None,
+)
+
+# Attributes of composed entries coincide with what the operator combinators
+# propagate; a test pins that down.
+_CATALOG = (
+    CatalogEntry(
+        "B", "surjection of l1 onto l2 along a dense unit-sphere direction sequence",
+        MAZUR_ATTRIBUTES, Verdict.TYPE_I, True, lambda n, dirs, p: _mazur(n, dirs),
+    ),
+    CatalogEntry(
+        "E2p", "embedding of l2 into l4",
+        EMBEDDING_ATTRIBUTES, Verdict.TYPE_II, False, lambda n, dirs, p: _embed(n),
+    ),
+    CatalogEntry(
+        "diag", "compact injective diagonal with vanishing weights",
+        DIAGONAL_ATTRIBUTES, Verdict.TYPE_II, False,
+        lambda n, dirs, p: _diag(n, domain_exponent=p),
+    ),
+    CatalogEntry(
+        "EoB", "embedding composed with the dense-direction surjection",
+        OperatorAttributes(
+            range_closed=False,
+            range_has_closed_infdim_subspace=False,
+            nullspace_complemented=False,
+            strictly_singular=True,
+            compact=False,
+            injective=False,
+            surjective=False,
+            weakstar_to_weak_continuous=False,
+        ),
+        Verdict.TYPE_II, False, lambda n, dirs, p: _after_mazur(_embed, n, dirs),
+    ),
+    CatalogEntry(
+        "CoB", "compact diagonal composed with the dense-direction surjection",
+        OperatorAttributes(
+            range_closed=False,
+            range_has_closed_infdim_subspace=False,
+            nullspace_complemented=False,
+            strictly_singular=True,
+            compact=True,
+            injective=False,
+            surjective=False,
+            weakstar_to_weak_continuous=False,
+        ),
+        Verdict.TYPE_II, False, lambda n, dirs, p: _after_mazur(_diag, n, dirs),
+    ),
+    CatalogEntry(
+        "BxI", "dense-direction surjection paired with the identity on the product space",
+        OperatorAttributes(
+            range_closed=True,
+            range_has_closed_infdim_subspace=True,
+            nullspace_complemented=False,
+            strictly_singular=False,
+            compact=False,
+            injective=False,
+            surjective=True,
+            weakstar_to_weak_continuous=False,
+        ),
+        Verdict.TYPE_I, False, lambda n, dirs, p: _mazur_x_identity(n, dirs),
+    ),
+    CatalogEntry(
+        "D1", "compact diagonal paired with the identity",
+        _DIAGONAL_PAIR, Verdict.TYPE_I, False,
+        lambda n, dirs, p: block_product(_diag(n), identity(n)),
+    ),
+    CatalogEntry(
+        "D2", "identity paired with the compact diagonal",
+        _DIAGONAL_PAIR, Verdict.TYPE_I, False,
+        lambda n, dirs, p: block_product(identity(n), _diag(n)),
+    ),
+    CatalogEntry(
+        "D2oD1", "composition of the two type I products, equal to the diagonal pair",
+        OperatorAttributes(
+            range_closed=False,
+            range_has_closed_infdim_subspace=False,
+            nullspace_complemented=True,
+            strictly_singular=True,
+            compact=True,
+            injective=True,
+            surjective=False,
+            weakstar_to_weak_continuous=None,
+        ),
+        Verdict.TYPE_II, False, lambda n, dirs, p: block_product(_diag(n), _diag(n)),
+    ),
+    CatalogEntry(
+        "inj", "summing row plus decaying diagonal: injective with unbounded inverse",
+        INJECTIVE_COUNTEREXAMPLE_ATTRIBUTES, Verdict.TYPE_II, False,
+        lambda n, dirs, p: injective_counterexample(n),
+    ),
+)
 
 
 def catalog() -> list[CatalogEntry]:
-    """The named example operators with declared attributes and verdicts.
-
-    Attributes of composed entries coincide with what the operator
-    combinators propagate; a test pins that down.
-    """
-    # D1 and D2 pair the same two blocks in either order, so they share one record
-    diagonal_pair = OperatorAttributes(
-        range_closed=False,
-        range_has_closed_infdim_subspace=True,
-        nullspace_complemented=True,
-        strictly_singular=False,
-        compact=False,
-        injective=True,
-        surjective=False,
-        weakstar_to_weak_continuous=None,
-    )
-    return [
-        CatalogEntry(
-            "B",
-            "surjection of l1 onto l2 along a dense unit-sphere direction sequence",
-            MAZUR_ATTRIBUTES,
-            Verdict.TYPE_I,
-            True,
-        ),
-        CatalogEntry(
-            "E2p",
-            "embedding of l2 into l4",
-            EMBEDDING_ATTRIBUTES,
-            Verdict.TYPE_II,
-            False,
-        ),
-        CatalogEntry(
-            "diag",
-            "compact injective diagonal with vanishing weights",
-            DIAGONAL_ATTRIBUTES,
-            Verdict.TYPE_II,
-            False,
-        ),
-        CatalogEntry(
-            "EoB",
-            "embedding composed with the dense-direction surjection",
-            OperatorAttributes(
-                range_closed=False,
-                range_has_closed_infdim_subspace=False,
-                nullspace_complemented=False,
-                strictly_singular=True,
-                compact=False,
-                injective=False,
-                surjective=False,
-                weakstar_to_weak_continuous=False,
-            ),
-            Verdict.TYPE_II,
-            False,
-        ),
-        CatalogEntry(
-            "CoB",
-            "compact diagonal composed with the dense-direction surjection",
-            OperatorAttributes(
-                range_closed=False,
-                range_has_closed_infdim_subspace=False,
-                nullspace_complemented=False,
-                strictly_singular=True,
-                compact=True,
-                injective=False,
-                surjective=False,
-                weakstar_to_weak_continuous=False,
-            ),
-            Verdict.TYPE_II,
-            False,
-        ),
-        CatalogEntry(
-            "BxI",
-            "dense-direction surjection paired with the identity on the product space",
-            OperatorAttributes(
-                range_closed=True,
-                range_has_closed_infdim_subspace=True,
-                nullspace_complemented=False,
-                strictly_singular=False,
-                compact=False,
-                injective=False,
-                surjective=True,
-                weakstar_to_weak_continuous=False,
-            ),
-            Verdict.TYPE_I,
-            False,
-        ),
-        CatalogEntry(
-            "D1",
-            "compact diagonal paired with the identity",
-            diagonal_pair,
-            Verdict.TYPE_I,
-            False,
-        ),
-        CatalogEntry(
-            "D2",
-            "identity paired with the compact diagonal",
-            diagonal_pair,
-            Verdict.TYPE_I,
-            False,
-        ),
-        CatalogEntry(
-            "D2oD1",
-            "composition of the two type I products, equal to the diagonal pair",
-            OperatorAttributes(
-                range_closed=False,
-                range_has_closed_infdim_subspace=False,
-                nullspace_complemented=True,
-                strictly_singular=True,
-                compact=True,
-                injective=True,
-                surjective=False,
-                weakstar_to_weak_continuous=None,
-            ),
-            Verdict.TYPE_II,
-            False,
-        ),
-        CatalogEntry(
-            "inj",
-            "summing row plus decaying diagonal: injective with unbounded inverse",
-            INJECTIVE_COUNTEREXAMPLE_ATTRIBUTES,
-            Verdict.TYPE_II,
-            False,
-        ),
-    ]
+    """The named example operators with declared attributes, verdicts and builders."""
+    return list(_CATALOG)
 
 
 def harmonic(k: int) -> float:
@@ -321,27 +304,10 @@ def _mazur_x_identity(n: int, directions: Directions) -> TruncatedOperator:
     return block_product(inner, identity(inner.n_rows))
 
 
-# name -> builder(size, directions, domain exponent of a standalone diag)
-OPERATORS: dict[str, Callable[[int, Directions, float], TruncatedOperator]] = {
-    "B": lambda n, dirs, p: _mazur(n, dirs),
-    "E2p": lambda n, dirs, p: _embed(n),
-    "diag": lambda n, dirs, p: _diag(n, domain_exponent=p),
-    "EoB": lambda n, dirs, p: _after_mazur(_embed, n, dirs),
-    "CoB": lambda n, dirs, p: _after_mazur(_diag, n, dirs),
-    "BxI": lambda n, dirs, p: _mazur_x_identity(n, dirs),
-    "D1": lambda n, dirs, p: block_product(_diag(n), identity(n)),
-    "D2": lambda n, dirs, p: block_product(identity(n), _diag(n)),
-    "D2oD1": lambda n, dirs, p: block_product(_diag(n), _diag(n)),
-    "inj": lambda n, dirs, p: injective_counterexample(n),
-    "identity": lambda n, dirs, p: identity(n),
-    "embed": lambda n, dirs, p: _embed(n),
-}
-
-
 def build_operator(
     name: str, size: int, directions: Directions, domain_exponent: float = 2.0
 ) -> TruncatedOperator:
-    """Build the truncation registered under ``name`` in ``OPERATORS``.
+    """Build the truncation of the catalog entry labelled ``name``.
 
     ``directions`` returns the enumeration; only the names built on the
     direction operator (B, EoB, CoB, BxI) call it.  Those take the first
@@ -350,10 +316,11 @@ def build_operator(
     dimension ``size`` (per block for D1, D2, D2oD1).  ``domain_exponent``
     is the domain of a standalone ``diag``; other names keep their own.
     """
-    builder = OPERATORS.get(name)
-    if builder is None:
-        raise ValueError(f"unknown operator {name!r}; known: {', '.join(OPERATORS)}")
-    return builder(size, directions, domain_exponent)
+    entry = next((e for e in _CATALOG if e.label == name), None)
+    if entry is None:
+        known = ", ".join(e.label for e in _CATALOG)
+        raise ValueError(f"unknown operator {name!r}; known: {known}")
+    return entry.build(size, directions, domain_exponent)
 
 
 def build_catalog_operator(label: str, depth: int = 200) -> TruncatedOperator:

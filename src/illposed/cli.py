@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .classify import OPERATORS, build_operator, catalog, check_consistency, classify
+from .classify import build_operator, catalog, check_consistency, classify
 from .directions import (
     EnumerationParams,
     directions_to_csv,
@@ -36,7 +36,7 @@ from .directions import (
     enumerate_directions,
 )
 from .operators import OperatorAttributes
-from .probes import composition_probe, pseudoinverse_growth, weak_star_probe
+from .probes import pseudoinverse_growth, weak_star_probe
 from .reports import csv_report, fmt, json_report
 from .tikhonov import (
     TikhonovProblem,
@@ -56,7 +56,7 @@ EXIT_FLAGGED = 3
 
 DEFAULT_SEED = 42
 
-_NAMES = ", ".join(OPERATORS)
+_NAMES = ", ".join(entry.label for entry in catalog())
 
 
 def _write(text: str, out: str | None) -> None:
@@ -267,14 +267,9 @@ def cmd_probe(args) -> int:
     _positive(args.threshold, "--threshold")
     seed = _seed(args)
     directions = _directions(args)
-    if args.compose:
-        base = build_operator("B", args.n, directions)
-        outer = build_operator(args.compose, base.n_rows, directions)
-        report = composition_probe(outer, base, args.n, threshold=args.threshold)
-    else:
-        op = build_operator(args.operator, args.n, directions)
-        eta = _parse_vector(args.eta, op.n_rows, directions, seed, "--eta")
-        report = weak_star_probe(op, eta, args.n, threshold=args.threshold)
+    op = build_operator(args.operator, args.n, directions)
+    eta = _parse_vector(args.eta, op.n_rows, directions, seed, "--eta")
+    report = weak_star_probe(op, eta, args.n, threshold=args.threshold)
     if args.format == "json":
         _write(report.summary_json() + "\n", args.out)
     else:
@@ -428,11 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", default="zeta:1")
     p.add_argument("--n", type=int, default=2000, help="operator size and pairing count")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument(
-        "--compose",
-        default=None,
-        help="probe NAME o B, with NAME (as for --operator) built at B's row count",
-    )
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of random draws")
     _add_enum_bounds(p)
     _add_common(p)

@@ -62,8 +62,10 @@ class OperatorAttributes:
 
     True / False are declared facts, None means unknown.  The flags are never
     inferred from the truncation matrix.  weakstar_to_weak_continuous refers
-    to the predual pairing of the domain (c0 for l^1); for reflexive domains
-    weak* and weak coincide and the flag is trivially True when set.
+    to the predual pairing of the domain (c0 for l^1).  On a reflexive domain
+    weak* and weak coincide, but the flag still records only what a builder
+    or the catalog declares: the catalog leaves it None on D1, D2 and D2oD1,
+    whose domains are l^2.
     """
 
     range_closed: bool | None = None

@@ -139,7 +139,9 @@ def composition_probe(
     The functional is the normalized image under the outer factor of the
     direction it stretches the most, which guarantees a nonzero adjoint at
     truncation scale.  For an identity outer factor this reduces to probing
-    the direction operator itself with its first direction.
+    the direction operator itself with its first direction.  No command calls
+    it; it stays only for the benchmark's lattice ``compose:*`` cases, until
+    the benchmark's own rework drops them (ROADMAP item 1).
     """
     if not _is_nonzero(outer):
         raise ValueError("outer operator is identically zero")

@@ -137,6 +137,15 @@ def test_catalog_is_consistent_and_matches_expectations():
         assert check_consistency(e.attributes) == [], e.label
 
 
+def test_catalog_is_a_fresh_list_over_one_table_of_entries():
+    first, second = catalog(), catalog()
+    first.clear()
+    labels = ["B", "E2p", "diag", "EoB", "CoB", "BxI", "D1", "D2", "D2oD1", "inj"]
+    assert [e.label for e in second] == labels
+    # the entries themselves, builders included, are built once per process
+    assert all(a is b for a, b in zip(second, catalog()))
+
+
 def test_remark_triple_crosses_the_type_line():
     verdicts = [classify(entry(lbl).attributes).verdict for lbl in ("D1", "D2", "D2oD1")]
     assert verdicts == [Verdict.TYPE_I, Verdict.TYPE_I, Verdict.TYPE_II]

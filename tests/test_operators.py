@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from illposed.classify import OPERATORS, build_operator, harmonic
+from illposed.classify import build_operator, catalog, harmonic
 from illposed.directions import EnumerationParams, enumerate_directions
 from illposed.operators import (
     OperatorAttributes,
@@ -366,7 +366,7 @@ def _structure(op) -> str:
 
 
 @pytest.mark.parametrize("n", [5, 40])
-@pytest.mark.parametrize("name", list(OPERATORS))
+@pytest.mark.parametrize("name", [entry.label for entry in catalog()])
 def test_structured_products_match_the_dense_matrix(master_directions, name, n):
     op = build_operator(name, n, lambda: master_directions)
     # no builder materializes a dense matrix: it is the rows block or not built

@@ -168,7 +168,7 @@ def test_pseudoinverse_growth_counterexample_diverges():
 
 
 @pytest.mark.parametrize("n", [8, 64, 256, 1024])
-@pytest.mark.parametrize("name", ["diag", "identity", "E2p", "D1", "D2", "D2oD1", "inj", "BxI"])
+@pytest.mark.parametrize("name", ["diag", "E2p", "D1", "D2", "D2oD1", "inj", "BxI"])
 def test_structured_growth_matches_the_dense_svd(master_directions, name, n):
     op = build_operator(name, n, lambda: master_directions)
     (_, smin, growth), = pseudoinverse_growth([op])
