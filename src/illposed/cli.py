@@ -247,7 +247,9 @@ def cmd_verify_theorem(args) -> int:
 def cmd_collapse(args) -> int:
     _positive(args.tol, "--tol")
     directions = _directions(args)
-    depths = _int_list(args.depths, "--depths")
+    depths = _nonempty(_int_list(args.depths, "--depths"), "--depths")
+    if min(depths) < 1:
+        raise ValueError("--depths must be at least 1")
     y = _parse_vector(args.y, 0, directions, _seed(args), "--y")
     probes = tuple(_int_list(args.probes, "--probes"))
     for i, j in enumerate(probes):

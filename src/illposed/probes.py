@@ -60,7 +60,7 @@ class ProbeReport:
 
         Pairings repeat heavily, so ``reports.float_cells`` writes each
         distinct bit pattern once (float equality would merge -0.0 with 0.0):
-        the exact product for 1e-6 < |v| < 1e17 and the ``%`` operator for
+        the exact product for 1e-4 <= |v| < 1 and the ``%`` operator for
         zeros, non-finite values and other magnitudes.  Lines go in blocks of
         ``reports._BLOCK`` NUL-padded byte rows in one reused buffer (index
         digits, a comma, the cell, a newline), each compacted to text, and the

@@ -4,8 +4,9 @@ Floats are rendered with 17 significant digits and a '.' decimal separator,
 rows end with a bare newline, and nothing time- or locale-dependent enters
 the output, so identical inputs produce identical bytes.  ``float_cells``
 writes ``%.17g`` for a whole array: by Dekker's exact product with a power
-of ten for 1e-6 < |v| < 1e17 and by the ``%`` operator for the rest.  It and
-the probe CSV writer go through fixed blocks of ``_BLOCK`` rows, because the
+of ten for 1e-4 <= |v| < 1, the ``0.ddd`` to ``-0.000ddd`` texts of nearly
+every probe pairing, and by the ``%`` operator for the rest.  It and the
+probe CSV writer go through fixed blocks of ``_BLOCK`` rows, because the
 page faults of large short-lived arrays, not the arithmetic, set their cost.
 """
 
@@ -31,27 +32,13 @@ def _percent_cells(values: np.ndarray) -> np.ndarray:
     return np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, 24)
 
 
-def _layouts() -> np.ndarray:
-    """Per exponent -6..16: each cell byte's source in the -4 <= E < 0 layout, then clip bounds."""
-    layout = np.tile(np.array([range(24), [0] * 24, [255] * 24]), (23, 1, 1))
-    for exp in (-6, -5, *range(17)):
-        whole = max(exp, 0) + 1  # digits before the point; the sign is at 4, digits at 7..23
-        point = 7 + whole if whole < 17 else 3  # byte 3 is always NUL
-        layout[exp + 6, 0] = [4, *range(7, 7 + whole), point, *range(7 + whole, 24), 3, 3, 3, 3, 3]
-        # stripped integer digits become '0'; a kept first fractional digit becomes '.'
-        layout[exp + 6, 1, 1 : whole + 1], layout[exp + 6, 2, whole + 1] = ord("0"), ord(".")
-    layout[:2, 1:, 19:23] = np.frombuffer(b"e-06e-05", np.uint8).reshape(2, 1, 4)  # both bounds
-    return layout.astype(np.uint8)
-
-
 _QUADS = _word_table()
-_LAYOUT = _layouts()
-# the least doubles >= 10**-6..10**17; the double nearest 10**-6 lies below it
-_DECADES = np.array([1.0000000000000002e-06] + [float(f"1e{k}") for k in range(-5, 18)])
-_POW10 = np.array([10**k for k in range(23)], dtype=np.float64)
+# the least doubles >= 10**-4..10**0 (each literal rounds up); the window is [1e-4, 1)
+_DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0])
+_POW10 = np.array([10**k for k in range(20, 16, -1)], dtype=np.float64)  # by E + 4: 10**(16 - E)
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
-# per exponent -6..16 and sign: "0." or "-0." and, if -4 <= E < 0, zeros; right-aligned in 0..6
-_LEAD = [s + b"0." + b"0" * (-e - 1) * (e > -5) for e in range(-6, 17) for s in (b"", b"-")]
+# by E + 4 and sign: "0." or "-0." and -E - 1 zeros, right-aligned in bytes 0..6
+_LEAD = [s + b"0." + b"0" * (3 - e) for e in range(4) for s in (b"", b"-")]
 _LEAD = np.frombuffer(b"".join(t.rjust(7, b"\0") + b"\0" for t in _LEAD), dtype="<u8")
 _BLOCK = 4096  # rows per block: the temporaries of one block stay in L2 and reuse freed heap
 
@@ -67,10 +54,11 @@ def fmt(value) -> str:
 def float_cells(values) -> np.ndarray:
     """Each value's ``%.17g`` text as a row of 24 bytes, NUL where no character.
 
-    Window digits are round-half-even(|v| * 10**(16 - E)), E the exponent
-    (none rounds into an 18th digit), go four at a time into the layout of
-    -4 <= E < 0, ``-0.000ddd``, from which one gather through ``_LAYOUT``
-    rearranges the other exponents.  Blocks of ``_BLOCK`` values keep every
+    In the window 1e-4 <= |v| < 1 the exponent E = -4..-1 is the value's
+    place among ``_DECADES``, and the digits, round-half-even(|v| * 10**(16 - E))
+    (none rounds into an 18th digit), go four at a time behind the lead
+    ``0.`` to ``-0.000``.  Every other value, zeros and non-finite ones too,
+    goes through the ``%`` operator.  Blocks of ``_BLOCK`` values keep every
     temporary in L2 and in reused heap: page faults, not arithmetic, set the cost.
     """
     values = np.asarray(values, dtype=np.float64)
@@ -78,12 +66,10 @@ def float_cells(values) -> np.ndarray:
     for start in range(0, len(values), _BLOCK):
         v, out = values[start : start + _BLOCK], cells[start : start + _BLOCK]
         a = np.abs(v)
-        slow = np.flatnonzero(~((a > 1e-6) & (a < 1e17)))
-        a[slow] = 1.0
-        e = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.intp) + 6  # E + 6
-        e += a >= _DECADES.take(e + 1)  # log10 is off by at most one, near a power of ten
-        e -= a < _DECADES.take(e)
-        p = a * (s := _POW10.take(22 - e))
+        slow = np.flatnonzero(~((a >= _DECADES[0]) & (a < _DECADES[-1])))
+        a[slow] = 0.5
+        e = _DECADES.searchsorted(a, side="right") - 1  # E + 4
+        p = a * (s := _POW10.take(e))
         ah, sh = (c := a * _SPLIT) - (c - a), (c := s * _SPLIT) - (c - s)  # high halves
         al, sl = a - ah, s - sh
         err = ((ah * sh - p) + ah * sl + al * sh) + al * sl  # Dekker: p + err == a * s exactly
@@ -95,9 +81,6 @@ def float_cells(values) -> np.ndarray:
             stripped, d = stripped * (group == 0), high
         out.view("<u8")[:, 0] = _LEAD.take(2 * e + (v < 0))
         out[:, 7] = d + ord("0")
-        moved = np.flatnonzero((e < 2) | (e >= 6))  # E < -4 or E >= 0
-        plan = _LAYOUT.take(e[moved], 0)
-        out[moved] = np.clip(out.take(plan[:, 0] + 24 * moved[:, None]), plan[:, 1], plan[:, 2])
         out[slow] = _percent_cells(v[slow])
     return cells
 

@@ -464,6 +464,9 @@ def test_empty_schedule_or_zero_size_names_the_option(tmp_path, capsys, argv, op
         (["collapse", "--y", "1,2,3", "--alpha", "-1"], "alpha must be a positive finite number"),
         (["collapse", "--y", "1,2,3.5", "--alpha", "inf", "--depths", "50"],
          "alpha must be a positive finite number"),
+        (["collapse", "--y", "1,2,3", "--depths", ","], "--depths lists no values"),
+        (["collapse", "--y", "1,2,3", "--depths", "0"], "--depths must be at least 1"),
+        (["collapse", "--y", "1,2,3", "--depths", "50,-3"], "--depths must be at least 1"),
     ],
 )
 def test_malformed_option_value_exits_2_naming_the_option(tmp_path, capsys, argv, message):
@@ -794,6 +797,22 @@ def test_readme_probe_of_the_composed_diagonal_matches_its_digest(tmp_path, fmt)
     code, text = run(tmp_path, *shlex.split(README_PROBE), "--format", fmt)
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == README_PROBE_DIGESTS[fmt]
+
+
+# Pairings 1/k: the first line (E = 0) and the last 10,000 (E = -5) lie
+# off the exact product's window of float_cells and take the % operator
+OFF_WINDOW_PROBE = "probe --operator diag --eta ones --n 20000"
+OFF_WINDOW_PROBE_DIGESTS = {
+    "csv": "52b290265cfb12cea9b5347b2379f9fa526d0f9b217ad496692c0e3624336203",
+    "json": "4ef7e2174e48254ccf24952c11f00aa3647932231c08a3f171182e9e88475417",
+}
+
+
+@pytest.mark.parametrize("fmt", list(OFF_WINDOW_PROBE_DIGESTS))
+def test_probe_off_the_exact_window_matches_its_digest(tmp_path, fmt):
+    code, text = run(tmp_path, *shlex.split(OFF_WINDOW_PROBE), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == OFF_WINDOW_PROBE_DIGESTS[fmt]
 
 
 # Enumerate outputs that are no README command, over several supports and

@@ -53,6 +53,7 @@ def _ties() -> np.ndarray:
 _EDGES = {
     "powers-of-ten": _neighbours(10.0 ** np.arange(-7, 19)),
     "window-edges": _neighbours([1e-6, 1e17, -1e-6, -1e17]),
+    "exact-window-edges": _neighbours([1e-4, 1.0, -1e-4, -1.0]),
     "nines-below-powers": np.nextafter(10.0 ** np.arange(-6, 18), 0.0),
     "exponent-layout-switch": _neighbours([1e-5, 1e-4, 1.0, 1e16]),
     "integers-with-zeros": [100.0, 1e5, 120.0, 1234500000.0, 9e15, -7e16, 1.5, 10.25],
@@ -76,17 +77,25 @@ def test_float_cells_edge_table():
 
 
 def test_float_cells_sweep_over_the_window():
+    """Log-uniform draws over the exact product's window and over a wider range."""
     rng = np.random.default_rng(7)
     n = 1_000_000
-    exponents = rng.uniform(np.log10(1e-6), np.log10(1e17), n)
-    values = 10.0**exponents * rng.choice([-1.0, 1.0], n)
-    _assert_matches_percent(values)
+    for low, high in [(1e-6, 1e17), (1e-4, 1.0)]:
+        exponents = rng.uniform(np.log10(low), np.log10(high), n)
+        values = 10.0**exponents * rng.choice([-1.0, 1.0], n)
+        _assert_matches_percent(values)
 
 
-_in_window = st.integers(  # positive doubles are ordered as their bit patterns
-    min_value=int(np.float64(1e-6).view(np.uint64)),
-    max_value=int(np.float64(1e17).view(np.uint64)),
-)
+def _between(low: float, high: float):
+    """Bit patterns of the doubles in [low, high]: positive doubles are ordered as their bits."""
+    return st.integers(
+        min_value=int(np.float64(low).view(np.uint64)),
+        max_value=int(np.float64(high).view(np.uint64)),
+    )
+
+
+_wide = _between(1e-6, 1e17)
+_in_window = _between(1e-4, np.nextafter(1.0, 0.0))
 
 
 @settings(max_examples=300, deadline=None)
@@ -94,6 +103,8 @@ _in_window = st.integers(  # positive doubles are ordered as their bit patterns
     st.lists(
         st.one_of(
             st.integers(min_value=0, max_value=2**64 - 1),
+            _wide,
+            _wide.map(lambda bits: bits | 1 << 63),
             _in_window,
             _in_window.map(lambda bits: bits | 1 << 63),
         ),
