@@ -323,12 +323,19 @@ def build_operator(
     return entry.build(size, directions, domain_exponent)
 
 
+@functools.cache
+def _default_directions() -> DirectionSet:
+    # shared by every catalog build: its arrays are read-only and the builders only slice them
+    return enumerate_directions(EnumerationParams())
+
+
 def build_catalog_operator(label: str, depth: int = 200) -> TruncatedOperator:
     """Construct the truncation behind a catalog label via ``build_operator``.
 
     Dense-direction truncations take the first ``depth`` directions of the
-    default enumeration, which is computed only for them.  ``inj`` needs two
-    rows, so it is built at ``max(depth, 2)``.
+    default enumeration, computed once per process on the first such build
+    and shared by the later ones; other labels never compute it.  ``inj``
+    needs two rows, so it is built at ``max(depth, 2)``.
     """
     size = max(depth, 2) if label == "inj" else depth
-    return build_operator(label, size, lambda: enumerate_directions(EnumerationParams()))
+    return build_operator(label, size, _default_directions)

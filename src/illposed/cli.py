@@ -132,6 +132,17 @@ def _directions(args):
     return functools.cache(lambda: enumerate_directions(params))
 
 
+def _sized(directions, n: int, option: str):
+    """``directions``, checked on first use to hold ``n``: only direction-based names call it."""
+    def checked():
+        dirs = directions()
+        if n > len(dirs):
+            raise ValueError(f"{option} must lie in 1..{len(dirs)}")
+        return dirs
+
+    return checked
+
+
 def _parse_vector(spec: str, dim: int, directions, seed: int, option: str) -> np.ndarray:
     """Vector specs: 'random3', 'zeta:K', 'e:K', 'ones', or comma floats.
 
@@ -269,7 +280,7 @@ def cmd_probe(args) -> int:
     _positive(args.threshold, "--threshold")
     seed = _seed(args)
     directions = _directions(args)
-    op = build_operator(args.operator, args.n, directions)
+    op = build_operator(args.operator, args.n, _sized(directions, args.n, "--n"))
     eta = _parse_vector(args.eta, op.n_rows, directions, seed, "--eta")
     report = weak_star_probe(op, eta, args.n, threshold=args.threshold)
     if args.format == "json":
@@ -345,7 +356,9 @@ def cmd_convergence(args) -> int:
     seed = _seed(args)
     directions = _directions(args)
     # the Tikhonov problem needs an l^1 domain, so diag is built on l^1 here
-    op = build_operator(args.operator, args.n, directions, domain_exponent=1.0)
+    op = build_operator(
+        args.operator, args.n, _sized(directions, args.n, "--n"), domain_exponent=1.0
+    )
     x_true = _parse_vector(args.x_true, op.n_cols, directions, seed, "--x-true")
     rows = convergence_experiment(
         op, x_true, deltas, alpha_factor=args.alpha_factor, seed=seed, tol=args.tol
@@ -362,7 +375,7 @@ def cmd_growth(args) -> int:
     if min(sizes) < 1:
         raise ValueError("--sizes must be at least 1")
     directions = _directions(args)
-    family = [build_operator(args.operator, n, directions) for n in sizes]
+    family = [build_operator(args.operator, n, _sized(directions, n, "--sizes")) for n in sizes]
     rows = [
         {"n": n, "min_singular_value": smin, "growth": growth}
         for n, smin, growth in pseudoinverse_growth(family)

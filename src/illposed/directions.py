@@ -170,7 +170,13 @@ def enumerate_directions(params: EnumerationParams) -> DirectionSet:
     axis = np.arange(entry, -entry - 1, -1, dtype=np.min_scalar_type(-entry - 1))
     # allocate first, one intp per grid point (its argsort): bounds too large to
     # allocate fail before the grid is built
-    np.empty(len(axis) ** width, dtype=np.intp)
+    points = len(axis) ** width
+    if points > np.iinfo(np.intp).max // np.dtype(np.intp).itemsize:
+        raise MemoryError(
+            f"max_support={width}, max_entry={entry}: a grid of {points} points"
+            " is too large to index"
+        )
+    np.empty(points, dtype=np.intp)
     mags = np.arange(entry + 1, dtype=np.min_scalar_type((width + 1) * (entry + 1) - 1))
     squares = mags.astype(np.min_scalar_type(width * entry**2)) ** 2
     # key and sum of squares over [0, entry]^width, grown one coordinate (the last axis) at a time

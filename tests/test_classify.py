@@ -7,10 +7,12 @@ import pytest
 from illposed.classify import (
     Verdict,
     build_catalog_operator,
+    build_operator,
     catalog,
     check_consistency,
     classify,
 )
+from illposed.directions import EnumerationParams, enumerate_directions
 from illposed.operators import OperatorAttributes
 
 
@@ -180,12 +182,58 @@ def test_build_catalog_operator_validation():
     assert build_catalog_operator("inj", depth=1).n_cols == 2
 
 
+# the package re-exports the classify() function under the module's name
+CLASSIFY = importlib.import_module("illposed.classify")
+DIRECTION_LABELS = ["B", "CoB", "EoB", "BxI"]
+
+
 @pytest.mark.parametrize("label", ["diag", "inj", "D2oD1"])
 def test_names_without_directions_never_enumerate(monkeypatch, label):
     def fail(params):
         raise AssertionError("enumerated directions")
 
-    # the package re-exports the classify() function under the module's name
-    module = importlib.import_module("illposed.classify")
-    monkeypatch.setattr(module, "enumerate_directions", fail)
+    # an empty cache, so that reading the shared enumeration enumerates again
+    CLASSIFY._default_directions.cache_clear()
+    monkeypatch.setattr(CLASSIFY, "enumerate_directions", fail)
     assert build_catalog_operator(label, depth=50).n_cols in (50, 100)
+
+
+def test_direction_names_share_one_default_enumeration(monkeypatch):
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return enumerate_directions(params)
+
+    CLASSIFY._default_directions.cache_clear()
+    monkeypatch.setattr(CLASSIFY, "enumerate_directions", counted)
+    for label in DIRECTION_LABELS * 2:
+        build_catalog_operator(label)
+    assert calls == [EnumerationParams()]
+
+
+@pytest.mark.parametrize("depth", [1, 50, 200, 4034])
+@pytest.mark.parametrize("label", DIRECTION_LABELS)
+def test_shared_enumeration_builds_what_a_fresh_one_builds(label, depth):
+    fresh = enumerate_directions(EnumerationParams())
+    expected = build_operator(label, depth, lambda: fresh)
+    for op in (build_catalog_operator(label, depth), build_catalog_operator(label, depth)):
+        assert op.rows.tobytes() == expected.rows.tobytes()
+        assert op.rows.shape == expected.rows.shape
+        assert op.diagonal.tobytes() == expected.diagonal.tobytes()
+        assert (op.domain_tag, op.codomain_tag) == (expected.domain_tag, expected.codomain_tag)
+        assert op.attributes == expected.attributes
+        assert (op.label, op.mazur_truncation) == (expected.label, expected.mazur_truncation)
+
+
+def test_shared_enumeration_stays_read_only_and_never_builds_handles():
+    for label in DIRECTION_LABELS:
+        for depth in (1, 200, 4034):
+            build_catalog_operator(label, depth)
+    shared = CLASSIFY._default_directions()
+    assert len(shared) == 4034
+    for array in (shared.canon, shared.support, shared.realized, shared.antipodes):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.flags.writeable = True
+    assert shared._table == []

@@ -363,12 +363,63 @@ def test_allocation_failure_exits_2(tmp_path, capsys):
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
 
 
-# only grids past 2^63 cells: a smaller one may pass the allocation and exhaust memory later
-@pytest.mark.parametrize("support, entry", [("40", "1"), ("64", "3")])
+# only grids past 2^60 points: a smaller one may pass the allocation and exhaust memory later
+@pytest.mark.parametrize("support, entry", [("40", "1"), ("64", "3"), ("40", "40")])
 def test_enumeration_bounds_too_large_to_allocate_exit_2(tmp_path, capsys, support, entry):
     code, text = run(tmp_path, "enumerate", "--support", support, "--entry", entry)
     assert code == 2 and text == ""
-    assert capsys.readouterr().err == "error: Maximum allowed dimension exceeded\n"
+    points = (2 * int(entry) + 1) ** int(support)
+    assert capsys.readouterr().err == (
+        f"error: out of memory: max_support={support}, max_entry={entry}: "
+        f"a grid of {points} points is too large to index\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["probe", "collapse", "verify-theorem", "convergence"])
+def test_oversized_bounds_name_themselves_in_every_command_that_takes_them(
+    tmp_path, capsys, command
+):
+    argv = [command, "--support", "40", "--entry", "40"]
+    argv += ["--operator", "B"] if command == "convergence" else []  # probe's default is B
+    code, text = run(tmp_path, *argv)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: max_support=40, max_entry=40: a grid of ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["probe", "--operator", "B", "--n", "5000"], "--n must lie in 1..4034"),
+        (["probe", "--operator", "CoB", "--n", "4035"], "--n must lie in 1..4034"),
+        (["probe", "--operator", "BxI", "--n", "30", "--support", "2", "--entry", "2"],
+         "--n must lie in 1..16"),
+        (["convergence", "--operator", "B", "--n", "5000"], "--n must lie in 1..4034"),
+        (["growth", "--operator", "EoB", "--sizes", "10,5000"], "--sizes must lie in 1..4034"),
+        (["growth", "--operator", "B", "--sizes", "4035"], "--sizes must lie in 1..4034"),
+        (["verify-theorem", "--depth", "5000"], "--depth must lie in 1..4034"),
+    ],
+)
+def test_sizes_past_the_enumeration_name_their_option(tmp_path, capsys, argv, message):
+    code, text = run(tmp_path, *argv)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probe", "--operator", "diag", "--n", "5000"],
+        ["probe", "--operator", "B", "--n", "4034"],
+        ["convergence", "--operator", "diag", "--n", "5000", "--deltas", "1e-1"],
+        ["growth", "--operator", "diag", "--sizes", "10,5000"],
+        ["growth", "--operator", "EoB", "--sizes", "10,4034"],
+    ],
+)
+def test_sizes_past_the_enumeration_stay_valid_where_no_direction_is_used(tmp_path, argv):
+    code, text = run(tmp_path, *argv)
+    assert code == 0 and text
 
 
 def test_diag_too_large_to_allocate_exits_2_before_its_weights(tmp_path, capsys):

@@ -216,13 +216,25 @@ def test_enumeration_params_accept_numpy_integers():
     assert enumerate_directions(params).canon.tobytes() == expected.canon.tobytes()
 
 
-# (2 * entry + 1) ** support exceeds 2^63 cells: numpy refuses the grid at
-# once.  A smaller grid may pass the allocation and exhaust memory later, so
-# none is tested.
-@pytest.mark.parametrize("support, entry", [(40, 1), (64, 3)])
+# (2 * entry + 1) ** support passes 2^60 points, whose intp argsort passes
+# 2^63 bytes: the grid is refused at once.  A smaller grid may pass the
+# allocation and exhaust memory later, so none is tested.
+@pytest.mark.parametrize("support, entry", [(40, 1), (64, 3), (39, 1), (40, 40)])
 def test_enumeration_bounds_too_large_to_allocate_raise_before_any_block(support, entry):
-    with pytest.raises(ValueError, match="Maximum allowed dimension exceeded"):
+    points = (2 * entry + 1) ** support
+    message = f"max_support={support}, max_entry={entry}: a grid of {points} points"
+    with pytest.raises(MemoryError, match=message):
         enumerate_directions(EnumerationParams(support, entry))
+
+
+def test_the_guard_refuses_exactly_the_grids_past_2_to_the_60():
+    # 2^60 - 1 intp values are the most that 2^63 - 1 bytes hold; the 3.6 EiB
+    # below that edge is still refused at once, by the allocation itself
+    assert 3**37 <= np.iinfo(np.intp).max // np.dtype(np.intp).itemsize < 3**38
+    with pytest.raises(MemoryError, match="Unable to allocate"):
+        enumerate_directions(EnumerationParams(37, 1))
+    with pytest.raises(MemoryError, match="max_support=38, max_entry=1: a grid of"):
+        enumerate_directions(EnumerationParams(38, 1))
 
 
 def test_coverage_monotone_in_bounds():
