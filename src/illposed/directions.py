@@ -171,12 +171,13 @@ def enumerate_directions(params: EnumerationParams) -> DirectionSet:
     # allocate first, one intp per grid point (its argsort): bounds too large to
     # allocate fail before the grid is built
     points = len(axis) ** width
+    grid_size = f"max_support={width}, max_entry={entry}: a grid of {points} points"
     if points > np.iinfo(np.intp).max // np.dtype(np.intp).itemsize:
-        raise MemoryError(
-            f"max_support={width}, max_entry={entry}: a grid of {points} points"
-            " is too large to index"
-        )
-    np.empty(points, dtype=np.intp)
+        raise MemoryError(f"{grid_size} is too large to index")
+    try:
+        np.empty(points, dtype=np.intp)
+    except MemoryError as exc:
+        raise MemoryError(f"{grid_size} does not fit in memory ({exc})") from None
     mags = np.arange(entry + 1, dtype=np.min_scalar_type((width + 1) * (entry + 1) - 1))
     squares = mags.astype(np.min_scalar_type(width * entry**2)) ** 2
     # key and sum of squares over [0, entry]^width, grown one coordinate (the last axis) at a time

@@ -142,23 +142,29 @@ def _peak(corr: np.ndarray) -> int:
     return lo if bottom > top or (bottom == top and lo < hi) else hi
 
 
-def _kkt_residual(corr: np.ndarray, x: np.ndarray, alpha: float, peak: int | None = None) -> float:
+def _kkt_residual(
+    corr: np.ndarray, x: np.ndarray, alpha: float, peak: int | None = None, on: list[int] | None = None
+) -> float:
     """max_j of |corr_j/alpha - sign x_j| on the support and |corr_j/alpha| - 1 off it.
 
-    Only the support (x_j != 0, so -0.0 is off it) is gathered.  The second
-    term is taken over every j: on the support |g| - 1 <= |g - sign x_j|,
-    also after rounding, so those j never raise the maximum.  The largest
-    |corr_j| (at index ``peak`` when given) is divided by alpha once: dividing
-    by alpha > 0 is monotone, so this is the largest |corr_j/alpha| to the
-    bit.  A NaN in corr makes the residual NaN, which no tolerance accepts.
+    The support (x_j != 0, so -0.0 is off it) is read from ``on``, 0-based
+    indices in any order that hold every nonzero of x (``solve`` passes those
+    it last wrote), or else found by a scan.  Its term is taken over Python
+    floats, whose operations round as numpy's do; a NaN x_j has a NaN sign,
+    and a NaN term wins the maximum as in ``np.max``.  The second term is
+    taken over every j: on the support |g| - 1 <= |g - sign x_j|, also after
+    rounding, so those j never raise the maximum.  The largest |corr_j| (at
+    index ``peak`` when given) is divided by alpha once: dividing by alpha > 0
+    is monotone, so this is the largest |corr_j/alpha| to the bit.  A NaN in
+    corr makes the residual NaN, which no tolerance accepts.
     """
-    on = (x != 0.0).nonzero()[0]
     res = 0.0
-    if on.size:
-        g = corr[on]
-        g /= alpha
-        g -= np.sign(x[on])
-        res = float(np.abs(g, out=g).max())
+    for j in (x != 0.0).nonzero()[0].tolist() if on is None else on:
+        v = x.item(j)
+        if v != 0.0:
+            term = abs(corr.item(j) / alpha - (v if math.isnan(v) else math.copysign(1.0, v)))
+            if term > res or math.isnan(term):
+                res = term
     excess = abs(corr.item(_peak(corr) if peak is None else peak)) / alpha - 1.0
     if excess > res or math.isnan(excess):
         res = excess
@@ -225,6 +231,10 @@ def solve(
     also stops when ``max_iter`` steps are spent, or when the most violated
     constraint is already active, so that only rounding keeps the residual
     above tol; both are flagged on the certificate, not raised.
+
+    The support of x is read from the indices the last step wrote: each
+    check and the certificate's ``support`` take it from them, and only they
+    are cleared before the next write, so no step searches x for its nonzeros.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be a positive finite number")
@@ -237,6 +247,7 @@ def solve(
     q, r = np.empty((len(y), cap)), np.empty((cap, cap))  # N = q[:, :m] r[:m, :m]
     u, signs, w = np.empty((3, cap))
     active: list[int] = []
+    written: list[int] = []  # the indices of x set by the last write, a superset of its support
     m = kept = 0  # w[:kept] solves r[:kept, :kept]^T w = alpha; dropping i keeps w[:i]
     x = np.zeros(op.n_cols)
     misfit = y  # y - Ax at x = 0
@@ -245,7 +256,7 @@ def solve(
     while True:
         corr = op.adjoint(misfit)
         j = _peak(corr)
-        residual = _kkt_residual(corr, x, alpha, j)
+        residual = _kkt_residual(corr, x, alpha, j, written)
         if residual <= tol:
             converged = True
             break
@@ -285,11 +296,12 @@ def solve(
             w[i] = (alpha - r[:i, i][::-1] @ w[:i][::-1]) / r[i, i]
         kept = m
         np.maximum(_back_substitute(r[:m, :m], q[:, :m].T @ y - w[:m]), 0.0, out=u[:m])
-        x[:] = 0.0
-        x[active] = signs[:m] * u[:m]
+        x[written] = 0.0
+        written = active.copy()  # the drop loop edits active before a step can break off
+        x[written] = signs[:m] * u[:m]
         steps += 1
         misfit = y - op.apply(x)
-    support = tuple(int(j) + 1 for j in (x != 0.0).nonzero()[0] if abs(x[j]) > SUPPORT_EPS)
+    support = tuple(j + 1 for j in sorted(written) if abs(x.item(j)) > SUPPORT_EPS)
     return MinimizerCertificate(
         x=x,
         # the objective at x, from the misfit of the last check: y - Ax is
@@ -357,19 +369,20 @@ def minimizer_family_distance(
     if not 1 <= k <= last:
         raise ValueError(f"k must be in 1..{last}")
     base = soft_threshold(lam, alpha)
-    ki, li = k - 1, int(directions[:n].antipodes[k - 1]) - 1
-    if base == 0.0 or li < 0:
+    ki, li = k - 1, directions.antipodes.item(k - 1) - 1
+    if base == 0.0 or not 0 <= li < n:  # an antipode past the end of x is absent
         target = np.zeros(n)
         target[ki] = base
         return float(np.abs(x - target).sum())
     lo, hi = sorted((0.0, -base))
-    rest = float(np.abs(x).sum() - abs(x[ki]) - abs(x[li]))
+    xk, xl = x.item(ki), x.item(li)
+    rest = float(np.abs(x).sum()) - abs(xk) - abs(xl)
 
     def dist_at(gamma: float) -> float:
-        return abs(x[ki] - (base + gamma)) + abs(x[li] - gamma) + rest
+        return abs(xk - (base + gamma)) + abs(xl - gamma) + rest
 
     candidates = [lo, hi]
-    for kink in (x[li], x[ki] - base):
+    for kink in (xl, xk - base):
         candidates.append(min(max(kink, lo), hi))
     return min(dist_at(g) for g in candidates)
 

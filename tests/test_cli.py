@@ -375,6 +375,27 @@ def test_enumeration_bounds_too_large_to_allocate_exit_2(tmp_path, capsys, suppo
     )
 
 
+def test_enumeration_bounds_past_memory_exit_2_naming_themselves(tmp_path, capsys, monkeypatch):
+    # the 41^8 intp argsort of support 8, entry 20 asks for 58.1 TiB; the
+    # allocation is made to fail here, so the test allocates nothing
+    points = 41**8
+    failure = f"Unable to allocate 58.1 TiB for an array with shape ({points},) and data type int64"
+    allocate = np.empty
+
+    def empty(shape, *args, **kwargs):
+        if shape == points:
+            raise MemoryError(failure)
+        return allocate(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty)
+    code, text = run(tmp_path, "enumerate", "--support", "8", "--entry", "20")
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (
+        f"error: out of memory: max_support=8, max_entry=20: "
+        f"a grid of {points} points does not fit in memory ({failure})\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["probe", "collapse", "verify-theorem", "convergence"])
 def test_oversized_bounds_name_themselves_in_every_command_that_takes_them(
     tmp_path, capsys, command
@@ -885,3 +906,19 @@ def test_enumerate_outputs_match_their_digest(tmp_path, command, fmt):
     code, text = run(tmp_path, *shlex.split(command), "--format", fmt)
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATE_DIGESTS[command, fmt]
+
+
+# The full-depth theorem grid of CI: every solve, certificate recomputation
+# and family distance on the 3 x 4034 direction operator, pinned to the byte
+FULL_DEPTH_GRID = "verify-theorem --depth 4034 --alpha 0.3"
+FULL_DEPTH_GRID_DIGESTS = {
+    "csv": "d8dbe72fcf04a85b5525dc2c1ef64661ec72d2617b9e3367fa961ed8e3d2aea4",
+    "json": "e9d124ba4796b10b2623fb9a3cfe172a2daf61e93e5eefb2ecd66b31ea964b32",
+}
+
+
+@pytest.mark.parametrize("fmt", list(FULL_DEPTH_GRID_DIGESTS))
+def test_full_depth_theorem_grid_matches_its_digest(tmp_path, fmt):
+    code, text = run(tmp_path, *shlex.split(FULL_DEPTH_GRID), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == FULL_DEPTH_GRID_DIGESTS[fmt]

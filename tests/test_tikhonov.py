@@ -541,6 +541,8 @@ def kkt_cases(draw):
     x = np.array(draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n)))
     magnitude = st.floats(min_value=1e-6, max_value=1e3)
     x[on] = [draw(magnitude) * draw(st.sampled_from([1.0, -1.0])) for _ in on]
+    if size:  # at times a NaN or an infinity on the support, of either sign
+        x[on[0]] *= draw(st.sampled_from([1.0, 1.0, 1.0, math.nan, -math.nan, math.inf]))
     unit = st.floats(min_value=-1.0, max_value=1.0)
     kind = draw(st.sampled_from(["free", "spike", "noisy spike"]))
     if kind == "free":
@@ -557,11 +559,21 @@ def kkt_cases(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(kkt_cases())
-def test_kkt_residual_equals_the_mask_formula_to_the_bit(case):
+@given(kkt_cases(), st.randoms(use_true_random=False))
+def test_kkt_residual_equals_the_mask_formula_to_the_bit(case, random):
     corr, x, alpha = case
     got = np.float64(_kkt_residual(corr, x, alpha)).tobytes()
     assert got == np.float64(mask_kkt_residual(corr, x, alpha)).tobytes()
+    # the support as solve passes it: a list in any order, which may also
+    # hold indices whose entry was written as 0.0 or -0.0
+    zeros = (x == 0.0).nonzero()[0].tolist()
+    on = (x != 0.0).nonzero()[0].tolist() + random.sample(zeros, random.randint(0, len(zeros)))
+    random.shuffle(on)
+    residual = _kkt_residual(corr, x, alpha, on=on)
+    assert np.float64(residual).tobytes() == got
+    if math.isnan(residual):
+        for tol in (1e-12, 1.0, 1e300):
+            assert not residual <= tol
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -830,6 +842,53 @@ def test_family_distance_helper(master_directions):
     for lam in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="value must not be NaN or infinite"):
             minimizer_family_distance(principal, dirs, 5, lam, 0.3)
+
+
+def prefix_family_distance(x, directions, k, lam, alpha):
+    """The family distance through the prefix directions[:len(x)], kept as the reference."""
+    x = np.asarray(x, dtype=float)
+    n, last = len(x), min(len(x), len(directions))
+    if not 1 <= k <= last:
+        raise ValueError(f"k must be in 1..{last}")
+    base = soft_threshold(lam, alpha)
+    ki, li = k - 1, int(directions[:n].antipodes[k - 1]) - 1
+    if base == 0.0 or li < 0:
+        target = np.zeros(n)
+        target[ki] = base
+        return float(np.abs(x - target).sum())
+    lo, hi = sorted((0.0, -base))
+    rest = float(np.abs(x).sum() - abs(x[ki]) - abs(x[li]))
+
+    def dist_at(gamma):
+        return abs(x[ki] - (base + gamma)) + abs(x[li] - gamma) + rest
+
+    candidates = [lo, hi]
+    for kink in (x[li], x[ki] - base):
+        candidates.append(min(max(kink, lo), hi))
+    return min(dist_at(g) for g in candidates)
+
+
+def test_family_distance_equals_the_prefix_formula_to_the_bit():
+    # every k of a 32-direction enumeration, with x shorter than the set (an
+    # antipode past len(x) is absent), as long and longer; x near the family,
+    # on a spike, or generic with zeros, for lambda in and out of the dead zone
+    directions = enumerate_directions(EnumerationParams(2, 3))
+    total = len(directions)
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5, 11, total // 2, total - 1, total, total + 7):
+        for k in range(1, min(n, total) + 1):
+            l = int(directions.antipodes[k - 1])
+            for lam in (-2.0, -0.25, 0.25, 1.0):
+                gamma = -0.4 * soft_threshold(lam, ALPHA)
+                generic = rng.standard_normal(n) * (rng.random(n) < 0.5)
+                family = np.zeros(n)
+                family[k - 1] = soft_threshold(lam, ALPHA) + gamma
+                if 0 < l <= n:
+                    family[l - 1] = gamma
+                for x in (generic, family, family + 1e-3 * generic, spike(n, k, lam)):
+                    got = minimizer_family_distance(x, directions, k, lam, ALPHA)
+                    want = prefix_family_distance(x, directions, k, lam, ALPHA)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (n, k, lam)
 
 
 def test_collapse_validation(master_directions):
